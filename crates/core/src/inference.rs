@@ -67,7 +67,7 @@ use crate::features::{
     CONV_INPUT_FEATURES, GEMM_INPUT_FEATURES, SPARSE_INPUT_FEATURES, TUNING_FEATURES,
 };
 use isaac_device::{DeviceSpec, Measurement, Profiler};
-use isaac_gen::legality::{space_feature_table, space_table};
+use isaac_gen::legality::LegalClass;
 use isaac_gen::profile::{conv_profile, gemm_profile};
 use isaac_gen::shapes::{ConvShape, GemmShape};
 use isaac_gen::GemmConfig;
@@ -184,57 +184,28 @@ pub struct InferOptions {
     pub cascade: Option<CascadeConfig>,
 }
 
-/// Iterate the full cartesian space X-hat (all 9-parameter combinations),
-/// in table index order.
-pub fn space_iter() -> impl Iterator<Item = GemmConfig> {
-    space_table().iter().copied()
-}
+pub use isaac_gen::legality::space_iter;
 
 /// All configurations legal for `shape` on `spec`, in space order.
 pub fn enumerate_legal_gemm(shape: &GemmShape, spec: &DeviceSpec) -> Vec<GemmConfig> {
-    enumerate_legal(space_table(), |cfg| {
-        isaac_gen::legality::check_physical(cfg, shape, spec).is_ok()
-    })
+    isaac_gen::legality::legal_class(shape, spec)
+        .configs()
+        .collect()
 }
 
 /// All configurations legal for a convolution, in space order.
 pub fn enumerate_legal_conv(shape: &ConvShape, spec: &DeviceSpec) -> Vec<GemmConfig> {
-    let g = isaac_gen::conv::equivalent_gemm(shape);
-    enumerate_legal(space_table(), |cfg| {
-        isaac_gen::conv::check_physical(cfg, &g, shape.n, spec).is_ok()
-    })
+    isaac_gen::conv::legal_class(shape, spec).configs().collect()
 }
 
 /// All sparse configurations legal for the input structure `shape`, in
 /// sparse-space order (sparse legality is input-dependent, not
 /// device-dependent).
 pub fn enumerate_legal_sparse(shape: &SparseShape) -> Vec<GemmConfig> {
-    enumerate_legal(isaac_sparse::space_table(), |cfg| {
-        isaac_sparse::space::check(cfg, shape).is_ok()
-    })
-}
-
-/// Parallel legality filter over an op family's space table, concatenated
-/// in index order (deterministic for any thread count).
-fn enumerate_legal(
-    table: &'static [GemmConfig],
-    legal: impl Fn(&GemmConfig) -> bool + Sync,
-) -> Vec<GemmConfig> {
-    let chunks = table.len().div_ceil(CHUNK);
-    (0..chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let lo = ci * CHUNK;
-            let hi = ((ci + 1) * CHUNK).min(table.len());
-            table[lo..hi]
-                .iter()
-                .filter(|cfg| legal(cfg))
-                .copied()
-                .collect::<Vec<_>>()
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .flatten()
+    isaac_sparse::space_table()
+        .iter()
+        .filter(|cfg| isaac_sparse::space::check(cfg, shape).is_ok())
+        .copied()
         .collect()
 }
 
@@ -258,14 +229,20 @@ fn enumerate_legal(
 /// not an authoritative tune, and callers (the serving layer's degraded
 /// mode) must not persist it as one.
 pub fn heuristic_gemm(shape: &GemmShape, spec: &DeviceSpec) -> Option<TunedChoice> {
-    heuristic_choice(|cfg| isaac_gen::legality::check(cfg, shape, spec).is_ok())
+    heuristic_choice(
+        |cfg| isaac_gen::legality::check(cfg, shape, spec).is_ok(),
+        || isaac_gen::legality::legal_class(shape, spec),
+    )
 }
 
 /// Model-free fallback choice for a convolution, via its implicit-GEMM
 /// view. Same largest-legal-tile rule and determinism as
 /// [`heuristic_gemm`].
 pub fn heuristic_conv(shape: &ConvShape, spec: &DeviceSpec) -> Option<TunedChoice> {
-    heuristic_choice(|cfg| isaac_gen::conv::check(cfg, shape, spec).is_ok())
+    heuristic_choice(
+        |cfg| isaac_gen::conv::check(cfg, shape, spec).is_ok(),
+        || isaac_gen::conv::legal_class(shape, spec),
+    )
 }
 
 /// Model-free fallback choice for a sparse input: the scalar
@@ -285,11 +262,14 @@ pub fn heuristic_sparse(shape: &SparseShape) -> Option<TunedChoice> {
 }
 
 /// Shared sweep for the heuristic fallback: try a small, preference-
-/// ordered candidate list (big tiles first), then fall back to a full
-/// space-table scan in index order if none of the preferred shapes are
-/// legal. The bounded sweep keeps the degraded path O(hundreds) of
-/// legality checks instead of a half-million-config table walk.
-fn heuristic_choice(legal: impl Fn(&GemmConfig) -> bool) -> Option<TunedChoice> {
+/// ordered candidate list (big tiles first), then fall back to the first
+/// member of the shape's legality class if none of the preferred shapes
+/// are legal. The bounded sweep keeps the degraded path O(hundreds) of
+/// legality checks, and the last resort a memoized lookup.
+fn heuristic_choice(
+    legal: impl Fn(&GemmConfig) -> bool,
+    class: impl FnOnce() -> LegalClass,
+) -> Option<TunedChoice> {
     // Macro-tile pairs from {128,64,32,16}^2, largest area first (ties:
     // taller `ml` first -- row-major access favors the M dimension).
     let lengths = [128u32, 64, 32, 16];
@@ -325,12 +305,9 @@ fn heuristic_choice(legal: impl Fn(&GemmConfig) -> bool) -> Option<TunedChoice> 
         }
     }
     // Degenerate shapes (tiny or oddly-aligned inputs) can reject every
-    // preferred candidate: scan the whole space in index order so the
-    // fallback is total whenever *any* legal configuration exists.
-    space_table()
-        .iter()
-        .find(|cfg| legal(cfg))
-        .map(|cfg| fallback_choice(*cfg))
+    // preferred candidate: take the first legal configuration in index
+    // order so the fallback is total whenever *any* exists.
+    class().configs().next().map(fallback_choice)
 }
 
 fn fallback_choice(config: GemmConfig) -> TunedChoice {
@@ -350,13 +327,11 @@ fn fallback_choice(config: GemmConfig) -> TunedChoice {
 struct EngineScratch {
     /// MLP activations + flat feature input.
     mlp: ScratchSpace,
-    /// Candidate `(space index, score)` pairs (cheap scores in cascade
+    /// Candidate `(list position, score)` pairs (cheap scores in cascade
     /// mode, full scores otherwise).
     cand: Vec<(u32, f32)>,
     /// Full-model scores of cascade survivors.
     full: Vec<(u32, f32)>,
-    /// Legal indices within the current chunk.
-    idx: Vec<u32>,
 }
 
 /// Process-wide pool of engine scratches: checked out per work item,
@@ -399,7 +374,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
                 mlp: ScratchSpace::new(),
                 cand: Vec::new(),
                 full: Vec::new(),
-                idx: Vec::new(),
             }
         });
     let out = f(&mut scratch);
@@ -424,211 +398,202 @@ fn extend_tracked(v: &mut Vec<(u32, f32)>, items: impl IntoIterator<Item = (u32,
 // ---------------------------------------------------------------------------
 
 /// Candidate ranking order: higher score first, ties broken by the lower
-/// space index. Total order, hence a deterministic top-k.
+/// list position (== the lower space index: the lists are in space
+/// order). Total order, hence a deterministic top-k.
 fn rank_cmp(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
+/// One query's legal candidates, in space order: their space indices,
+/// the aligned encoded tuning-feature rows, and the family's index
+/// decoder. The engine names a candidate by its *position* in these
+/// lists and decodes only the finalists.
+struct Candidates<'a> {
+    idx: &'a [u32],
+    rows: &'a [[f32; TUNING_FEATURES]],
+    decode: fn(usize) -> GemmConfig,
+}
+
+impl Candidates<'_> {
+    fn config(&self, pos: u32) -> GemmConfig {
+        (self.decode)(self.idx[pos as usize] as usize)
+    }
+}
+
+/// Look a dense query's legality class up (building it on first use),
+/// charged to the legality stage.
+fn dense_class(
+    log_features: bool,
+    stages: &mut Option<&mut StageBreakdown>,
+    lookup: impl FnOnce() -> LegalClass,
+) -> LegalClass {
+    let mark = Instant::now();
+    let class = lookup();
+    class.feature_rows(log_features);
+    if let Some(bd) = stages {
+        bd.legality_s += mark.elapsed().as_secs_f64();
+    }
+    class
+}
+
 /// The per-query model context shared by every scoring call: the trained
-/// bundle, its precomputed factored prefix, and the op family's decoded
-/// space table plus its encoded tuning-feature rows for the query's
-/// feature encoding.
+/// bundle, its precomputed factored prefix, and the candidates' encoded
+/// tuning-feature rows.
 struct ModelCtx<'a> {
     bundle: &'a ModelBundle,
     prefix: &'a QueryPrefix,
-    table: &'static [GemmConfig],
-    tfeat: &'static [[f32; TUNING_FEATURES]],
+    rows: &'a [[f32; TUNING_FEATURES]],
 }
 
-/// Score the candidate indices currently in `scratch.idx`: copy each
-/// candidate's precomputed tuning-feature row and run the factored model
-/// (cheap surrogate or full network). Returns `(index, score)` pairs in
-/// `scratch.idx` order.
-fn score_idx_list(
+/// Score the candidates at list positions `ids`: copy each one's
+/// precomputed tuning-feature row into a pooled scratch and run the
+/// factored model (cheap surrogate or full network). Returns
+/// `(position, score)` pairs in `ids` order.
+fn score_rows(
     ctx: &ModelCtx<'_>,
     cheap: bool,
-    scratch: &mut EngineScratch,
+    ids: impl ExactSizeIterator<Item = u32> + Clone,
     mut times: Option<&mut StageBreakdown>,
 ) -> Vec<(u32, f32)> {
-    if scratch.idx.is_empty() {
-        return Vec::new();
-    }
-    let mut mark = Instant::now();
-    let n = scratch.idx.len();
-    let buf = scratch.mlp.input(n, TUNING_FEATURES);
-    for (r, &i) in scratch.idx.iter().enumerate() {
-        buf[r * TUNING_FEATURES..(r + 1) * TUNING_FEATURES].copy_from_slice(&ctx.tfeat[i as usize]);
-    }
-    if let Some(bd) = times.as_deref_mut() {
-        let now = Instant::now();
-        bd.features_s += (now - mark).as_secs_f64();
-        mark = now;
-    }
-    let scores = if cheap {
-        ctx.bundle.cheap_scores_suffix(ctx.prefix, &mut scratch.mlp)
-    } else {
-        ctx.bundle
-            .predict_scratch_suffix(ctx.prefix, &mut scratch.mlp)
-    };
-    let out: Vec<(u32, f32)> = scratch
-        .idx
-        .iter()
-        .zip(scores)
-        .map(|(&i, &s)| (i, s))
-        .collect();
-    if let Some(bd) = times {
-        bd.predict_s += mark.elapsed().as_secs_f64();
-        if !cheap {
-            bd.scored_full += n as u64;
-        }
-    }
-    out
-}
-
-/// Legality-filter one space-table chunk, then score the legal
-/// candidates. Returns `(space index, score)` pairs in index order.
-fn score_chunk(
-    ctx: &ModelCtx<'_>,
-    lo: usize,
-    hi: usize,
-    legal: &(impl Fn(&GemmConfig) -> bool + Sync),
-    cheap: bool,
-    mut times: Option<&mut StageBreakdown>,
-) -> Vec<(u32, f32)> {
-    let table = ctx.table;
     with_scratch(|scratch| {
-        let mark = Instant::now();
-        scratch.idx.clear();
-        scratch
-            .idx
-            .extend((lo..hi).filter(|&i| legal(&table[i])).map(|i| i as u32));
+        let mut mark = Instant::now();
+        let n = ids.len();
+        let buf = scratch.mlp.input(n, TUNING_FEATURES);
+        for (dst, pos) in buf.chunks_exact_mut(TUNING_FEATURES).zip(ids.clone()) {
+            dst.copy_from_slice(&ctx.rows[pos as usize]);
+        }
         if let Some(bd) = times.as_deref_mut() {
-            bd.legality_s += mark.elapsed().as_secs_f64();
+            let now = Instant::now();
+            bd.features_s += (now - mark).as_secs_f64();
+            mark = now;
         }
-        score_idx_list(ctx, cheap, scratch, times)
+        let scores = if cheap {
+            ctx.bundle.cheap_scores_suffix(ctx.prefix, &mut scratch.mlp)
+        } else {
+            ctx.bundle
+                .predict_scratch_suffix(ctx.prefix, &mut scratch.mlp)
+        };
+        let out = ids.zip(scores.iter().copied()).collect();
+        if let Some(bd) = times {
+            bd.predict_s += mark.elapsed().as_secs_f64();
+            if !cheap {
+                bd.scored_full += n as u64;
+            }
+        }
+        out
     })
 }
 
-/// Full-model scores for a slice of cascade survivors (already legal).
-fn score_survivors(
-    ctx: &ModelCtx<'_>,
-    survivors: &[(u32, f32)],
-    times: Option<&mut StageBreakdown>,
-) -> Vec<(u32, f32)> {
-    with_scratch(|scratch| {
-        scratch.idx.clear();
-        scratch.idx.extend(survivors.iter().map(|&(i, _)| i));
-        score_idx_list(ctx, false, scratch, times)
-    })
+/// Run `score(lo, hi)` over `0..n` in [`CHUNK`]-sized slices -- fanned
+/// out or serially, the same slices either way -- and concatenate the
+/// results in slice order into `into`.
+fn score_chunked(
+    n: usize,
+    parallel: bool,
+    into: &mut Vec<(u32, f32)>,
+    mut stages: Option<&mut StageBreakdown>,
+    score: impl Fn(usize, usize, Option<&mut StageBreakdown>) -> Vec<(u32, f32)> + Sync,
+) {
+    into.clear();
+    let slice = |ci: usize| (ci * CHUNK, ((ci + 1) * CHUNK).min(n));
+    let chunks = n.div_ceil(CHUNK);
+    if parallel {
+        let parts: Vec<Vec<(u32, f32)>> = (0..chunks)
+            .into_par_iter()
+            .map(|ci| {
+                let (lo, hi) = slice(ci);
+                score(lo, hi, None)
+            })
+            .collect();
+        for part in parts {
+            extend_tracked(into, part);
+        }
+    } else {
+        for ci in 0..chunks {
+            let (lo, hi) = slice(ci);
+            let part = score(lo, hi, stages.as_deref_mut());
+            extend_tracked(into, part);
+        }
+    }
 }
 
-/// Exhaustive model search + top-k re-benchmark, shared by every op
-/// family: the family supplies its space table, the matching encoded
-/// tuning-feature rows, a legality predicate and a bench closure.
-/// `opts.parallel` switches the rayon fan-out on or off; both
-/// modes run identical arithmetic in identical index order, so their
+/// Model search over a query's legal candidates + top-k re-benchmark,
+/// shared by every op family: the family supplies the candidates and a
+/// bench closure. `opts.parallel` switches the rayon fan-out on or off;
+/// both modes run identical arithmetic over identical slices, so their
 /// results are bit-identical (asserted by tests/parallel_inference.rs).
-/// With `opts.cascade`, stage 3 (the cheap pass) prunes the candidate set
-/// before the full model runs; the default (`None`) path never computes a
+/// With `opts.cascade` the cheap pass prunes the candidate set before the
+/// full model runs -- unless the survivor cut would keep every candidate
+/// (small spaces: the 216-point sparse family), in which case the cheap
+/// pass could prune nothing and the full model scores them directly; the
+/// result is the same bit for bit. The `None` path never computes a
 /// cheap score and is bit-identical to the pre-cascade engine.
-#[allow(clippy::too_many_arguments)] // the five middle args ARE the op-family seam
 fn infer_engine(
     bundle: &ModelBundle,
-    table: &'static [GemmConfig],
-    tfeat: &'static [[f32; TUNING_FEATURES]],
+    legal: &Candidates<'_>,
     shape_feats: &[f32],
     opts: &InferOptions,
-    legal: impl Fn(&GemmConfig) -> bool + Sync,
     bench: impl Fn(&GemmConfig) -> Option<Measurement> + Sync,
     mut stages: Option<&mut StageBreakdown>,
 ) -> Option<TunedChoice> {
-    let prefix = if opts.cascade.is_some() {
+    let n = legal.idx.len();
+    let top_k = opts.top_k;
+    let cascade = opts.cascade.filter(|c| c.survivors(n, top_k) < n);
+    let prefix = if cascade.is_some() {
         bundle.query_prefix_cascade(shape_feats)
     } else {
         bundle.query_prefix(shape_feats)
     };
-    let chunks = table.len().div_ceil(CHUNK);
-    let top_k = opts.top_k;
     let ctx = ModelCtx {
         bundle,
         prefix: &prefix,
-        table,
-        tfeat,
+        rows: legal.rows,
     };
 
     with_scratch(|query| {
-        // Stages 1-3: legality + features + scores for every legal
-        // candidate (cheap surrogate scores when the cascade is on).
-        let cheap = opts.cascade.is_some();
-        query.cand.clear();
-        if opts.parallel {
-            let parts: Vec<Vec<(u32, f32)>> = (0..chunks)
-                .into_par_iter()
-                .map(|ci| {
-                    let lo = ci * CHUNK;
-                    let hi = ((ci + 1) * CHUNK).min(table.len());
-                    score_chunk(&ctx, lo, hi, &legal, cheap, None)
-                })
-                .collect();
-            for part in parts {
-                extend_tracked(&mut query.cand, part);
-            }
-        } else {
-            for ci in 0..chunks {
-                let lo = ci * CHUNK;
-                let hi = ((ci + 1) * CHUNK).min(table.len());
-                let part = score_chunk(&ctx, lo, hi, &legal, cheap, stages.as_deref_mut());
-                extend_tracked(&mut query.cand, part);
-            }
-        }
+        // Scores for every legal candidate (cheap surrogate scores when
+        // the cascade is on).
+        let cheap = cascade.is_some();
+        score_chunked(
+            n,
+            opts.parallel,
+            &mut query.cand,
+            stages.as_deref_mut(),
+            |lo, hi, times| score_rows(&ctx, cheap, lo as u32..hi as u32, times),
+        );
         if query.cand.is_empty() {
             return None;
         }
 
-        // Stage 3b (cascade only): survivor cut + full model on survivors.
-        let ranked_list: &mut Vec<(u32, f32)> = if let Some(cascade) = &opts.cascade {
+        // Cascade only: survivor cut + full model on survivors.
+        let ranked_list: &mut Vec<(u32, f32)> = if let Some(cascade) = &cascade {
             let mark = Instant::now();
-            let keep = cascade.survivors(query.cand.len(), top_k);
-            if keep < query.cand.len() {
-                query.cand.select_nth_unstable_by(keep - 1, rank_cmp);
-                query.cand.truncate(keep);
-            }
+            let keep = cascade.survivors(n, top_k);
+            query.cand.select_nth_unstable_by(keep - 1, rank_cmp);
+            query.cand.truncate(keep);
             // Survivors go back to space order: deterministic, and the
-            // full pass walks the tuning table cache-friendly.
-            query.cand.sort_unstable_by_key(|&(i, _)| i);
+            // full pass walks the feature rows cache-friendly.
+            query.cand.sort_unstable_by_key(|&(pos, _)| pos);
             if let Some(bd) = stages.as_deref_mut() {
                 bd.topk_s += mark.elapsed().as_secs_f64();
             }
-            query.full.clear();
-            if opts.parallel {
-                let surv = &query.cand;
-                let sch = surv.len().div_ceil(CHUNK);
-                let parts: Vec<Vec<(u32, f32)>> = (0..sch)
-                    .into_par_iter()
-                    .map(|ci| {
-                        let lo = ci * CHUNK;
-                        let hi = ((ci + 1) * CHUNK).min(surv.len());
-                        score_survivors(&ctx, &surv[lo..hi], None)
-                    })
-                    .collect();
-                for part in parts {
-                    extend_tracked(&mut query.full, part);
-                }
-            } else {
-                let mut lo = 0;
-                while lo < query.cand.len() {
-                    let hi = (lo + CHUNK).min(query.cand.len());
-                    let part = score_survivors(&ctx, &query.cand[lo..hi], stages.as_deref_mut());
-                    extend_tracked(&mut query.full, part);
-                    lo = hi;
-                }
-            }
+            let survivors = &query.cand;
+            score_chunked(
+                survivors.len(),
+                opts.parallel,
+                &mut query.full,
+                stages.as_deref_mut(),
+                |lo, hi, times| {
+                    let ids = survivors[lo..hi].iter().map(|&(pos, _)| pos);
+                    score_rows(&ctx, false, ids, times)
+                },
+            );
             &mut query.full
         } else {
             &mut query.cand
         };
 
-        // Stage 4: O(n) top-k selection, deterministic by (score, index).
+        // O(n) top-k selection, deterministic by (score, position).
         let mark = Instant::now();
         let k = top_k.max(1).min(ranked_list.len());
         if k < ranked_list.len() {
@@ -640,24 +605,25 @@ fn infer_engine(
             bd.topk_s += mark.elapsed().as_secs_f64();
         }
 
-        // Stage 5: re-benchmark the finalists; rank-ordered reduction.
+        // Re-benchmark the finalists; rank-ordered reduction.
         let mark = Instant::now();
         let ranked = &ranked_list[..];
-        let bench_one = |r: usize| -> Option<(usize, f64, Measurement)> {
-            let (idx, score) = ranked[r];
-            let m = bench(&table[idx as usize])?;
-            Some((r, score as f64, m))
+        let bench_one = |r: usize| -> Option<(GemmConfig, f64, Measurement)> {
+            let (pos, score) = ranked[r];
+            let config = legal.config(pos);
+            let m = bench(&config)?;
+            Some((config, score as f64, m))
         };
-        let measured: Vec<Option<(usize, f64, Measurement)>> = if opts.parallel {
+        let measured: Vec<Option<(GemmConfig, f64, Measurement)>> = if opts.parallel {
             (0..ranked.len()).into_par_iter().map(bench_one).collect()
         } else {
             (0..ranked.len()).map(bench_one).collect()
         };
         let mut best: Option<TunedChoice> = None;
-        for (r, score, m) in measured.into_iter().flatten() {
+        for (config, score, m) in measured.into_iter().flatten() {
             if best.as_ref().is_none_or(|b| m.time_s < b.time_s) {
                 best = Some(TunedChoice {
-                    config: table[ranked[r].0 as usize],
+                    config,
                     predicted_gflops: score.exp(),
                     tflops: m.tflops,
                     time_s: m.time_s,
@@ -687,20 +653,23 @@ fn infer_gemm_engine(
     shape: &GemmShape,
     profiler: &Profiler,
     opts: &InferOptions,
-    stages: Option<&mut StageBreakdown>,
+    mut stages: Option<&mut StageBreakdown>,
 ) -> Option<TunedChoice> {
     let spec = profiler.spec();
     let mut shape_feats = [0.0f32; GEMM_INPUT_FEATURES];
     gemm_shape_features_into(shape, opts.log_features, &mut shape_feats);
+    let class = dense_class(opts.log_features, &mut stages, || {
+        isaac_gen::legality::legal_class(shape, spec)
+    });
     infer_engine(
         bundle,
-        space_table(),
-        space_feature_table(opts.log_features),
+        &Candidates {
+            idx: class.indices(),
+            rows: class.feature_rows(opts.log_features),
+            decode: isaac_gen::legality::decode,
+        },
         &shape_feats,
         opts,
-        // The space table is in-space by construction, so only the
-        // physical legality rules need to run per candidate.
-        |cfg| isaac_gen::legality::check_physical(cfg, shape, spec).is_ok(),
         |cfg| {
             let profile = gemm_profile(cfg, shape, spec).ok()?;
             profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
@@ -795,21 +764,23 @@ fn infer_conv_engine(
     shape: &ConvShape,
     profiler: &Profiler,
     opts: &InferOptions,
-    stages: Option<&mut StageBreakdown>,
+    mut stages: Option<&mut StageBreakdown>,
 ) -> Option<TunedChoice> {
     let spec = profiler.spec();
     let mut shape_feats = [0.0f32; CONV_INPUT_FEATURES];
     conv_shape_features_into(shape, opts.log_features, &mut shape_feats);
-    // The implicit-GEMM view depends only on the input shape: build it
-    // once instead of ~500k times.
-    let gemm_view = isaac_gen::conv::equivalent_gemm(shape);
+    let class = dense_class(opts.log_features, &mut stages, || {
+        isaac_gen::conv::legal_class(shape, spec)
+    });
     infer_engine(
         bundle,
-        space_table(),
-        space_feature_table(opts.log_features),
+        &Candidates {
+            idx: class.indices(),
+            rows: class.feature_rows(opts.log_features),
+            decode: isaac_gen::legality::decode,
+        },
         &shape_feats,
         opts,
-        |cfg| isaac_gen::conv::check_physical(cfg, &gemm_view, shape.n, spec).is_ok(),
         |cfg| {
             let profile = conv_profile(cfg, shape, spec).ok()?;
             profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
@@ -903,18 +874,32 @@ fn infer_sparse_engine(
     shape: &SparseShape,
     profiler: &Profiler,
     opts: &InferOptions,
-    stages: Option<&mut StageBreakdown>,
+    mut stages: Option<&mut StageBreakdown>,
 ) -> Option<TunedChoice> {
     let spec = profiler.spec();
     let mut shape_feats = [0.0f32; SPARSE_INPUT_FEATURES];
     sparse_shape_features_into(shape, opts.log_features, &mut shape_feats);
+    // Sparse legality reads the whole input structure, so there is no
+    // class to memoize: filter the 216-point space per query.
+    let mark = Instant::now();
+    let table = isaac_sparse::space_table();
+    let tfeat = isaac_sparse::space_feature_table(opts.log_features);
+    let idx: Vec<u32> = (0..table.len() as u32)
+        .filter(|&i| isaac_sparse::space::check(&table[i as usize], shape).is_ok())
+        .collect();
+    let rows: Vec<[f32; TUNING_FEATURES]> = idx.iter().map(|&i| tfeat[i as usize]).collect();
+    if let Some(bd) = stages.as_deref_mut() {
+        bd.legality_s += mark.elapsed().as_secs_f64();
+    }
     infer_engine(
         bundle,
-        isaac_sparse::space_table(),
-        isaac_sparse::space_feature_table(opts.log_features),
+        &Candidates {
+            idx: &idx,
+            rows: &rows,
+            decode: |i| isaac_sparse::space_table()[i],
+        },
         &shape_feats,
         opts,
-        |cfg| isaac_sparse::space::check(cfg, shape).is_ok(),
         |cfg| {
             let profile = sparse_profile(cfg, shape, spec).ok()?;
             profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
@@ -1038,7 +1023,7 @@ pub fn rebench_sparse(
 pub fn oracle_gemm(shape: &GemmShape, profiler: &Profiler) -> Option<TunedChoice> {
     let spec = profiler.spec();
     let mut best: Option<TunedChoice> = None;
-    for cfg in enumerate_legal_gemm(shape, spec) {
+    for cfg in isaac_gen::legality::legal_class(shape, spec).configs() {
         let Ok(profile) = gemm_profile(&cfg, shape, spec) else {
             continue;
         };
@@ -1062,19 +1047,6 @@ mod tests {
     use super::*;
     use isaac_device::specs::tesla_p100;
     use isaac_device::DType;
-    use isaac_gen::legality::space_size;
-
-    #[test]
-    fn space_iter_covers_the_full_space() {
-        assert_eq!(space_iter().count() as u64, space_size());
-    }
-
-    #[test]
-    fn space_iter_yields_distinct_configs() {
-        let set: std::collections::HashSet<[u32; 9]> =
-            space_iter().map(|c| c.as_vector()).collect();
-        assert_eq!(set.len() as u64, space_size());
-    }
 
     #[test]
     fn legal_set_is_nonempty_for_benchmark_shapes() {
@@ -1101,17 +1073,17 @@ mod tests {
         assert_eq!(parallel, serial);
     }
 
-    /// The engine's physical-only legality shortcut must agree with the
-    /// full check on every table entry (the table is in-space by
-    /// construction, so the two may only differ outside the table).
+    /// The class lists are built with the physical-only rules; they must
+    /// agree with the full check on every point of the space (in-space by
+    /// construction, so the two may only differ outside it).
     #[test]
     fn physical_shortcut_matches_full_check_on_the_table() {
         let spec = tesla_p100();
         let shape = GemmShape::new(2560, 16, 2560, "N", "N", DType::F32);
-        for cfg in space_table().iter().step_by(997) {
+        for cfg in space_iter().step_by(997) {
             assert_eq!(
-                isaac_gen::legality::check(cfg, &shape, &spec).is_ok(),
-                isaac_gen::legality::check_physical(cfg, &shape, &spec).is_ok(),
+                isaac_gen::legality::check(&cfg, &shape, &spec).is_ok(),
+                isaac_gen::legality::check_physical(&cfg, &shape, &spec).is_ok(),
             );
         }
     }
@@ -1124,10 +1096,10 @@ mod tests {
         let spec = tesla_p100();
         let shape = ConvShape::from_output(16, 14, 14, 48, 512, 5, 5, DType::F32);
         let g = isaac_gen::conv::equivalent_gemm(&shape);
-        for cfg in space_table().iter().step_by(997) {
+        for cfg in space_iter().step_by(997) {
             assert_eq!(
-                isaac_gen::conv::check(cfg, &shape, &spec).is_ok(),
-                isaac_gen::conv::check_physical(cfg, &g, shape.n, &spec).is_ok(),
+                isaac_gen::conv::check(&cfg, &shape, &spec).is_ok(),
+                isaac_gen::conv::check_physical(&cfg, &g, shape.n, &spec).is_ok(),
             );
         }
     }

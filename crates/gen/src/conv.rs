@@ -92,6 +92,14 @@ pub fn check_physical(
     Ok(())
 }
 
+/// The legal configurations of a convolution on `spec`, in space order:
+/// the class of its implicit-GEMM view with `vec` further capped by the
+/// batch size (the one rule [`check_physical`] adds).
+pub fn legal_class(shape: &ConvShape, spec: &DeviceSpec) -> legality::LegalClass {
+    let key = legality::LegalKey::gemm(&equivalent_gemm(shape), spec).also_contiguous(shape.n);
+    legality::class_of(key, spec)
+}
+
 /// Compute the indirection table: `d(kk) = ((c*H + r)*W + s) * N` for
 /// `kk = (c*R + r)*S + s`.
 pub fn indirection_table(shape: &ConvShape) -> Vec<i32> {

@@ -71,7 +71,7 @@ pub fn space_size() -> u64 {
 
 /// Decode the configuration at a given index of the cartesian space
 /// (mixed-radix little-endian over [`SPACE`], first parameter fastest).
-fn decode(mut idx: usize) -> GemmConfig {
+pub fn decode(mut idx: usize) -> GemmConfig {
     let mut v = [0u32; 9];
     for (slot, range) in v.iter_mut().zip(SPACE.iter()) {
         let size = range.values.len();
@@ -81,57 +81,62 @@ fn decode(mut idx: usize) -> GemmConfig {
     GemmConfig::from_vector(v)
 }
 
-/// The full cartesian space X-hat, decoded **once** per process into a
-/// flat table in index order.
-///
-/// Runtime inference walks this space on every uncached query; decoding
-/// the mixed-radix index into a [`GemmConfig`] each time cost more than
-/// the legality checks themselves. The table is ~500k configs x 36 B and
-/// is shared by every thread of the parallel query engine (chunk `i`
-/// of a query always covers `table[i*C..(i+1)*C]`, which is what keeps
-/// parallel reductions index-ordered and deterministic).
+/// Iterate the full cartesian space X-hat in index order: item `i` is
+/// `decode(i)`, produced by carrying a mixed-radix counter instead of
+/// running the nine div/mod pairs of [`decode`] per point.
+pub fn space_iter() -> impl Iterator<Item = GemmConfig> {
+    let mut digits = [0usize; 9];
+    (0..space_size()).map(move |_| {
+        let mut v = [0u32; 9];
+        for ((slot, range), &d) in v.iter_mut().zip(SPACE).zip(&digits) {
+            *slot = range.values[d];
+        }
+        for (d, range) in digits.iter_mut().zip(SPACE) {
+            *d += 1;
+            if *d < range.values.len() {
+                break;
+            }
+            *d = 0;
+        }
+        GemmConfig::from_vector(v)
+    })
+}
+
+/// The full cartesian space X-hat decoded into a flat table in index
+/// order, built on first use. ~500k configs x 36 B: the query engine does
+/// not touch it (it reads the per-class legal lists of [`legal_class`]);
+/// it serves tests and benchmarks that want the whole space at once.
 pub fn space_table() -> &'static [GemmConfig] {
     static TABLE: std::sync::OnceLock<Vec<GemmConfig>> = std::sync::OnceLock::new();
-    TABLE
-        .get_or_init(|| (0..space_size() as usize).map(decode).collect())
-        .as_slice()
+    TABLE.get_or_init(|| space_iter().collect()).as_slice()
+}
+
+/// One configuration's tuning parameters encoded exactly as
+/// `isaac_core::features` encodes tuning features (`log2` when `log`,
+/// raw otherwise; a test over there pins the bit-equality down). The
+/// encoding depends only on the configuration -- never on the query's
+/// input shape -- which is what lets [`LegalClass::feature_rows`] be
+/// computed once per class instead of once per query.
+fn encode_row(cfg: &GemmConfig, log: bool) -> [f32; 9] {
+    cfg.as_vector().map(|v| {
+        if log {
+            ((v as f64).max(1e-9)).log2() as f32
+        } else {
+            v as f32
+        }
+    })
 }
 
 /// Tuning-parameter feature rows aligned with [`space_table`]: entry `i`
-/// holds the 9 parameter values of `space_table()[i]`, encoded exactly as
-/// `isaac_core::features` encodes tuning features (`log2` when `log`,
-/// raw otherwise; a test over there pins the bit-equality down).
-///
-/// The encodings depend only on the configuration -- never on the query's
-/// input shape -- so the tuning half of every candidate's feature row can
-/// be precomputed once per process. The runtime query engine turns its
-/// per-candidate feature construction into a 9-float copy from this
-/// table, dropping the `log2` calls that used to run ~500k times per
-/// cold tune.
+/// is the encoded row (see [`LegalClass::feature_rows`]) of
+/// `space_table()[i]`. Built on first use, ~18 MB per encoding; like
+/// [`space_table`] it is off the query path.
 pub fn space_feature_table(log: bool) -> &'static [[f32; 9]] {
-    fn build(log: bool) -> Vec<[f32; 9]> {
-        space_table()
-            .iter()
-            .map(|cfg| {
-                let mut row = [0.0f32; 9];
-                for (slot, v) in row.iter_mut().zip(cfg.as_vector()) {
-                    *slot = if log {
-                        ((v as f64).max(1e-9)).log2() as f32
-                    } else {
-                        v as f32
-                    };
-                }
-                row
-            })
-            .collect()
-    }
-    static LOG: std::sync::OnceLock<Vec<[f32; 9]>> = std::sync::OnceLock::new();
-    static RAW: std::sync::OnceLock<Vec<[f32; 9]>> = std::sync::OnceLock::new();
-    if log {
-        LOG.get_or_init(|| build(true)).as_slice()
-    } else {
-        RAW.get_or_init(|| build(false)).as_slice()
-    }
+    static TABLES: [std::sync::OnceLock<Vec<[f32; 9]>>; 2] =
+        [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+    TABLES[log as usize]
+        .get_or_init(|| space_table().iter().map(|cfg| encode_row(cfg, log)).collect())
+        .as_slice()
 }
 
 /// Why a configuration is illegal.
@@ -285,6 +290,199 @@ pub fn check_physical(
         return Err(ConfigIssue::Occupancy);
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Legality classes
+// ---------------------------------------------------------------------------
+
+/// Exactly what [`check_physical`] reads besides the configuration: the
+/// device limits it compares against, the dtype, and -- all that is left
+/// of the input shape -- whether some operand is contiguous along K and
+/// the widest vector the contiguous dimensions allow. Two `(shape,
+/// device)` pairs with equal keys have equal legal sets, so the legal
+/// set is computed once per key ([`legal_class`]) instead of once per
+/// query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct LegalKey {
+    arch: MicroArch,
+    max_smem_per_block: u32,
+    max_regs_per_thread: u32,
+    regs_per_sm: u32,
+    smem_per_sm: u32,
+    dtype: DType,
+    /// An operand is loaded along K (`trans_a || !trans_b`): vector loads
+    /// then also need `vec | U*KL`, the only way the transposition flags
+    /// reach a configuration.
+    k_contiguous: bool,
+    /// Largest `vec` dividing every dimension the layout makes contiguous.
+    max_vec: u32,
+}
+
+/// `vec`, the last and therefore most significant digit of a space index.
+const VEC: &ParamRange = &SPACE[SPACE.len() - 1];
+
+/// Largest vector width in X-hat that divides `dim`.
+fn widest_vec(dim: u32) -> u32 {
+    VEC.values
+        .iter()
+        .copied()
+        .filter(|&v| dim.is_multiple_of(v))
+        .max()
+        .unwrap_or(1)
+}
+
+impl LegalKey {
+    /// The legality class of a GEMM shape on a device.
+    pub(crate) fn gemm(shape: &GemmShape, spec: &DeviceSpec) -> Self {
+        let a_dim = if shape.trans_a { shape.k } else { shape.m };
+        let b_dim = if shape.trans_b { shape.n } else { shape.k };
+        LegalKey {
+            arch: spec.arch,
+            max_smem_per_block: spec.max_smem_per_block,
+            max_regs_per_thread: spec.max_regs_per_thread,
+            regs_per_sm: spec.regs_per_sm,
+            smem_per_sm: spec.smem_per_sm,
+            dtype: shape.dtype,
+            k_contiguous: shape.trans_a || !shape.trans_b,
+            max_vec: widest_vec(a_dim).min(widest_vec(b_dim)),
+        }
+    }
+
+    /// The class further restricted to vector widths dividing `dim` (the
+    /// CONV batch size: a vector must not cross an image boundary).
+    pub(crate) fn also_contiguous(self, dim: u32) -> Self {
+        LegalKey {
+            max_vec: self.max_vec.min(widest_vec(dim)),
+            ..self
+        }
+    }
+}
+
+/// The legal configurations of the widest class of a `(device, dtype,
+/// K-contiguity)` triple, in space-index order. `vec` is the most
+/// significant digit of a space index and the shape only ever *caps* it,
+/// so the legal set of a narrower `max_vec` is a prefix of this list:
+/// GEMM and CONV together need at most two lists per device and dtype.
+struct LegalList {
+    idx: Vec<u32>,
+    /// Encoded tuning-feature rows of `idx`, raw and log, built on demand
+    /// (enumeration and the heuristic never need them).
+    rows: [std::sync::OnceLock<Vec<[f32; 9]>>; 2],
+}
+
+/// At most this many [`LegalList`]s (~0.4 MB of indices + ~3.3 MB per
+/// feature encoding each) stay memoized; the least recently used goes.
+const MAX_LISTS: usize = 6;
+
+static LISTS: std::sync::Mutex<Vec<(LegalKey, std::sync::Arc<LegalList>)>> =
+    std::sync::Mutex::new(Vec::new());
+
+/// The legal subset of X-hat for one [`LegalKey`]: space indices in index
+/// order plus a contiguous copy of their encoded tuning-feature rows. A
+/// view into a shared, memoized list.
+pub struct LegalClass {
+    list: std::sync::Arc<LegalList>,
+    len: usize,
+}
+
+/// The legal configurations of a GEMM `shape` on `spec`: exactly
+/// `(0..space_size()).filter(|i| check_physical(&decode(i), shape, spec).is_ok())`,
+/// looked up by [`LegalKey`] instead of recomputed.
+pub fn legal_class(shape: &GemmShape, spec: &DeviceSpec) -> LegalClass {
+    class_of(LegalKey::gemm(shape, spec), spec)
+}
+
+/// Look the class of `key` up, building its backing list on first use by
+/// streaming [`check_physical`] over X-hat once. `spec` must be the
+/// device `key` was derived from.
+pub(crate) fn class_of(key: LegalKey, spec: &DeviceSpec) -> LegalClass {
+    let widest = *VEC.values.iter().max().expect("vec has values");
+    let list_key = LegalKey {
+        max_vec: widest,
+        ..key
+    };
+    let list = {
+        let mut lists = LISTS.lock().expect("legal lists poisoned");
+        let entry = match lists.iter().position(|(k, _)| *k == list_key) {
+            Some(at) => lists.remove(at),
+            None => {
+                if lists.len() == MAX_LISTS {
+                    lists.remove(0);
+                }
+                (list_key, std::sync::Arc::new(LegalList::build(&list_key, spec)))
+            }
+        };
+        lists.push(entry);
+        std::sync::Arc::clone(&lists.last().expect("just pushed").1)
+    };
+    // Space indices below `bound` are exactly those with `vec <= max_vec`.
+    let planes = VEC.values.iter().filter(|&&v| v <= key.max_vec).count();
+    let bound = space_size() as usize / VEC.values.len() * planes;
+    let len = list.idx.partition_point(|&i| (i as usize) < bound);
+    LegalClass { list, len }
+}
+
+impl LegalList {
+    fn build(key: &LegalKey, spec: &DeviceSpec) -> Self {
+        // A representative of the class: every dimension divides by
+        // `max_vec`; N/N has a K-contiguous operand (B), N/T has none.
+        let shape = GemmShape {
+            m: key.max_vec,
+            n: key.max_vec,
+            k: key.max_vec,
+            trans_a: false,
+            trans_b: !key.k_contiguous,
+            dtype: key.dtype,
+        };
+        debug_assert_eq!(LegalKey::gemm(&shape, spec), *key);
+        let idx = space_iter()
+            .enumerate()
+            .filter(|(_, cfg)| check_physical(cfg, &shape, spec).is_ok())
+            .map(|(i, _)| i as u32)
+            .collect();
+        LegalList {
+            idx,
+            rows: Default::default(),
+        }
+    }
+}
+
+impl LegalClass {
+    /// Number of legal configurations.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no configuration is legal.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Space indices of the legal configurations, ascending.
+    pub fn indices(&self) -> &[u32] {
+        &self.list.idx[..self.len]
+    }
+
+    /// The legal configurations, in space order.
+    pub fn configs(&self) -> impl Iterator<Item = GemmConfig> + '_ {
+        self.indices().iter().map(|&i| decode(i as usize))
+    }
+
+    /// Encoded tuning-feature rows aligned with [`LegalClass::indices`]:
+    /// row `p` holds the 9 parameter values of `decode(indices()[p])` as
+    /// `isaac_core::features` encodes them, so a candidate's feature row
+    /// is a 9-float copy with no `log2` on the query path.
+    pub fn feature_rows(&self, log: bool) -> &[[f32; 9]] {
+        let rows = self.list.rows[log as usize].get_or_init(|| {
+            self.list
+                .idx
+                .iter()
+                .map(|&i| encode_row(&decode(i as usize), log))
+                .collect()
+        });
+        &rows[..self.len]
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +658,100 @@ mod tests {
         assert_eq!(set.len(), table.len(), "decode must be a bijection");
         for cfg in table.iter().step_by(9973) {
             assert_eq!(in_space(cfg), Ok(()));
+        }
+    }
+
+    #[test]
+    fn space_iter_is_decode_in_index_order() {
+        assert_eq!(space_iter().count() as u64, space_size());
+        for (i, cfg) in space_iter().enumerate().step_by(997) {
+            assert_eq!(cfg, decode(i), "index {i}");
+        }
+        assert_eq!(space_iter().last(), Some(decode(space_size() as usize - 1)));
+    }
+
+    /// The reference the class lists replace: the per-query filter.
+    fn filtered(legal: impl Fn(&GemmConfig) -> bool) -> Vec<u32> {
+        (0..space_size() as usize)
+            .filter(|&i| legal(&decode(i)))
+            .map(|i| i as u32)
+            .collect()
+    }
+
+    /// Class list == per-query filter, exactly, on seeded shapes covering
+    /// odd / 2-aligned / 4-aligned dimensions, all four layouts, every
+    /// dtype, both devices, and CONV with odd and even batches; and two
+    /// shapes with equal keys never have different legal sets.
+    #[test]
+    fn legal_classes_match_the_per_query_filter() {
+        use crate::conv;
+        use crate::shapes::ConvShape;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        let mut rng = StdRng::seed_from_u64(0x1e9a1);
+        // A dimension that is odd, 2- but not 4-aligned, or 4-aligned.
+        let dim = |rng: &mut StdRng| -> u32 {
+            let base: u32 = rng.gen_range(3..600);
+            match rng.gen_range(0..3) {
+                0 => base * 2 + 1,
+                1 => base * 4 + 2,
+                _ => base * 4,
+            }
+        };
+        let mut by_key: HashMap<LegalKey, Vec<u32>> = HashMap::new();
+        let mut agree = |key: LegalKey, class: LegalClass, reference: Vec<u32>, what: String| {
+            assert_eq!(class.indices(), reference, "{what}: class != filter");
+            assert_eq!(class.len(), reference.len());
+            let first = by_key.entry(key).or_insert_with(|| reference.clone());
+            assert_eq!(*first, reference, "{what}: equal keys, different legal sets");
+        };
+        for spec in [tesla_p100(), gtx980ti()] {
+            for dtype in [DType::F16, DType::F32, DType::F64] {
+                for (ta, tb) in [("N", "N"), ("N", "T"), ("T", "N"), ("T", "T")] {
+                    for _ in 0..2 {
+                        let shape =
+                            GemmShape::new(dim(&mut rng), dim(&mut rng), dim(&mut rng), ta, tb, dtype);
+                        agree(
+                            LegalKey::gemm(&shape, &spec),
+                            legal_class(&shape, &spec),
+                            filtered(|cfg| check(cfg, &shape, &spec).is_ok()),
+                            format!("{} {shape:?}", spec.name),
+                        );
+                    }
+                }
+                for batch in [1, 6, 16] {
+                    let filters = dim(&mut rng);
+                    let shape = ConvShape::from_output(batch, 7, 5, filters, 24, 3, 3, dtype);
+                    let view = conv::equivalent_gemm(&shape);
+                    agree(
+                        LegalKey::gemm(&view, &spec).also_contiguous(shape.n),
+                        conv::legal_class(&shape, &spec),
+                        filtered(|cfg| conv::check(cfg, &shape, &spec).is_ok()),
+                        format!("{} {shape:?}", spec.name),
+                    );
+                }
+            }
+        }
+        assert!(by_key.len() >= 12, "only {} classes covered", by_key.len());
+    }
+
+    /// Feature rows follow the index list and stay aligned under the
+    /// prefix view of a narrower class.
+    #[test]
+    fn class_feature_rows_align_with_indices() {
+        let spec = tesla_p100();
+        let odd = GemmShape::new(33, 64, 64, "N", "T", DType::F32);
+        let class = legal_class(&odd, &spec);
+        assert!(!class.is_empty());
+        assert!(class.configs().all(|cfg| cfg.vec == 1), "odd M caps vec at 1");
+        for log in [false, true] {
+            let rows = class.feature_rows(log);
+            assert_eq!(rows.len(), class.len());
+            for (row, &i) in rows.iter().zip(class.indices()).step_by(211) {
+                assert_eq!(*row, space_feature_table(log)[i as usize]);
+            }
         }
     }
 
