@@ -11,7 +11,7 @@
 /// f32 lanes per accumulator vector of the tiled kernel. Eight f32s is
 /// one AVX2 register; on narrower ISAs LLVM splits the lane arrays into
 /// however many native vectors fit.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 // The pairwise lane reduction in `block` spells out indices 0..7; keep
 // the two in lockstep or outputs would silently drop lanes.
 const _: () = assert!(LANES == 8, "block()'s lane reduction assumes 8 lanes");

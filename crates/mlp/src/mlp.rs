@@ -7,7 +7,7 @@
 //! Gaussian noise (Section 5.1).
 
 use crate::data::Dataset;
-use crate::matrix::{Mat, ResetReport};
+use crate::matrix::{Mat, ResetReport, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -325,6 +325,7 @@ impl Mlp {
         FirstLayerPrefix {
             acc,
             split: prefix.len(),
+            wt: transposed_cols(w, prefix.len()),
         }
     }
 
@@ -359,20 +360,14 @@ impl Mlp {
         let rep = scratch.b.reset(rows, layer.w.rows);
         scratch.count(rep);
         let relu = self.layers.len() > 1;
-        let (a, b) = (&scratch.a, &mut scratch.b);
-        for r in 0..rows {
-            let xr = a.row(r);
-            let orow = b.row_mut(r);
-            for (h, o) in orow.iter_mut().enumerate() {
-                let wrow = &layer.w.row(h)[prefix.split..];
-                let mut acc = prefix.acc[h];
-                for (wj, xj) in wrow.iter().zip(xr) {
-                    acc += wj * xj;
-                }
-                acc += layer.b[h];
-                *o = if relu && acc < 0.0 { 0.0 } else { acc };
-            }
-        }
+        first_layer(
+            &prefix.acc,
+            &prefix.wt,
+            &layer.b,
+            scratch.a.data(),
+            scratch.b.data_mut(),
+            relu,
+        );
     }
 
     /// Collapse layers `1..` into a single affine map by dropping their
@@ -538,6 +533,10 @@ pub struct FirstLayerPrefix {
     acc: Vec<f32>,
     /// Number of leading input columns folded into `acc`.
     split: usize,
+    /// First-layer weights of the remaining columns, transposed to
+    /// `[column][hidden unit]` so the per-candidate kernel walks hidden
+    /// units contiguously (see [`first_layer`]).
+    wt: Vec<f32>,
 }
 
 impl FirstLayerPrefix {
@@ -557,26 +556,124 @@ pub struct CheapTail {
     b: f32,
 }
 
-/// First-layer forward with strictly sequential per-output accumulation
-/// (`acc = w[0]*x[0] + w[1]*x[1] + ...`, then `+ bias`, then ReLU). The
-/// factored query path splits this sum after the prefix columns and
-/// continues it per candidate; keeping the monolithic path on the same
-/// order is what makes factored and monolithic forwards bit-identical.
-/// The first layer is a few percent of the network's FLOPs, so staying
-/// scalar here costs nothing measurable.
+/// Columns `from..` of the `(out x in)` weight matrix `w`, transposed to
+/// `[column][output unit]`.
+fn transposed_cols(w: &Mat, from: usize) -> Vec<f32> {
+    (from..w.cols)
+        .flat_map(|j| (0..w.rows).map(move |h| w.get(h, j)))
+        .collect()
+}
+
+/// Monolithic first-layer forward: [`first_layer`] from a zero seed over
+/// every input column. The factored query path runs the same kernel from
+/// the prefix sums over the remaining columns, so each output is the same
+/// left-to-right sum either way -- which is what makes factored and
+/// monolithic forwards bit-identical.
 fn dense0_seq(w: &Mat, bias: &[f32], x: &Mat, out: &mut Mat, relu: bool) {
-    for r in 0..x.rows {
-        let xr = x.row(r);
-        let orow = out.row_mut(r);
-        for (h, o) in orow.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (wj, xj) in w.row(h).iter().zip(xr) {
-                acc += wj * xj;
-            }
-            acc += bias[h];
-            *o = if relu && acc < 0.0 { 0.0 } else { acc };
+    first_layer(
+        &vec![0.0; w.rows],
+        &transposed_cols(w, 0),
+        bias,
+        x.data(),
+        out.data_mut(),
+        relu,
+    );
+}
+
+/// The first-layer kernel: for every row `r` of `x` (width
+/// `wt.len() / seed.len()`) and every output unit `h`,
+///
+/// `out[r][h] = act(seed[h] + x[r][0]*wt[0][h] + x[r][1]*wt[1][h] + ... + bias[h])`
+///
+/// summed strictly left to right with separate multiplies and adds. With
+/// the weights transposed the sums of neighbouring units advance in
+/// lockstep, one SIMD lane each, instead of one latency-bound scalar
+/// chain after another; per unit the operations and their order are those
+/// of the scalar loop, so the result is too, bit for bit.
+fn first_layer(seed: &[f32], wt: &[f32], bias: &[f32], x: &[f32], out: &mut [f32], relu: bool) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime. The
+            // variant runs the same source as the generic path (no
+            // reassociation, no fused multiply-add), only with 256-bit
+            // registers.
+            unsafe { first_layer_rows_avx2(seed, wt, bias, x, out, relu) };
+            return;
         }
     }
+    first_layer_rows(seed, wt, bias, x, out, relu);
+}
+
+/// [`first_layer_rows`] compiled with AVX2 enabled, selected at runtime
+/// like `mul_bt_blocks_avx2`.
+///
+/// # Safety
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn first_layer_rows_avx2(
+    seed: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    relu: bool,
+) {
+    first_layer_rows(seed, wt, bias, x, out, relu);
+}
+
+#[inline(always)]
+fn first_layer_rows(
+    seed: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    relu: bool,
+) {
+    let hidden = seed.len();
+    let cols = wt.len() / hidden;
+    for (r, orow) in out.chunks_exact_mut(hidden).enumerate() {
+        let xr = &x[r * cols..(r + 1) * cols];
+        let mut h0 = 0;
+        while h0 < hidden {
+            // Four lane vectors per step keep four independent add
+            // chains in flight; narrower blocks mop up the remainder.
+            h0 += match hidden - h0 {
+                n if n >= 4 * LANES => units::<{ 4 * LANES }>(seed, wt, bias, xr, orow, h0, relu),
+                n if n >= LANES => units::<LANES>(seed, wt, bias, xr, orow, h0, relu),
+                _ => units::<1>(seed, wt, bias, xr, orow, h0, relu),
+            };
+        }
+    }
+}
+
+/// Output units `h0..h0 + W` of one row; returns `W`.
+#[inline(always)]
+fn units<const W: usize>(
+    seed: &[f32],
+    wt: &[f32],
+    bias: &[f32],
+    xr: &[f32],
+    orow: &mut [f32],
+    h0: usize,
+    relu: bool,
+) -> usize {
+    let hidden = seed.len();
+    let mut acc: [f32; W] = seed[h0..h0 + W].try_into().expect("unit block");
+    for (j, &xj) in xr.iter().enumerate() {
+        let w: &[f32; W] = wt[j * hidden + h0..][..W].try_into().expect("unit block");
+        for l in 0..W {
+            acc[l] += w[l] * xj;
+        }
+    }
+    for l in 0..W {
+        let v = acc[l] + bias[h0 + l];
+        orow[h0 + l] = if relu && v < 0.0 { 0.0 } else { v };
+    }
+    W
 }
 
 /// Add the bias row-wise and apply ReLU (unless `relu` is false, i.e. the
@@ -860,6 +957,86 @@ mod tests {
         let tail = mlp.predict_rows(&flat[mid..], 5, &mut scratch).to_vec();
         let rejoined: Vec<f32> = head.into_iter().chain(tail).collect();
         assert_eq!(rejoined, batch);
+    }
+
+    /// The scalar loop `first_layer` replaced, kept as the reference:
+    /// one left-to-right chain per output unit, unit after unit.
+    fn first_layer_scalar(
+        w: &Mat,
+        split: usize,
+        seed: &[f32],
+        bias: &[f32],
+        x: &Mat,
+        relu: bool,
+    ) -> Vec<f32> {
+        let mut out = Vec::with_capacity(x.rows * w.rows);
+        for r in 0..x.rows {
+            for h in 0..w.rows {
+                let mut acc = seed[h];
+                for (wj, xj) in w.row(h)[split..].iter().zip(x.row(r)) {
+                    acc += wj * xj;
+                }
+                acc += bias[h];
+                out.push(if relu && acc < 0.0 { 0.0 } else { acc });
+            }
+        }
+        out
+    }
+
+    /// The vectorised first layer against the scalar loop, bit for bit:
+    /// hidden widths that are and are not lane multiples, one row, a
+    /// ragged handful and a full engine chunk, factored and monolithic.
+    #[test]
+    fn first_layer_matches_the_scalar_loop_bitwise() {
+        let (inputs, split) = (17usize, 8usize);
+        for hidden in [24usize, 33, 64] {
+            let mlp = Mlp::new(&[inputs, hidden, 1], hidden as u64);
+            let mut layer = mlp.layers[0].clone();
+            let mut rng = StdRng::seed_from_u64(hidden as u64 + 100);
+            for b in &mut layer.b {
+                *b = rng.gen_range(-0.5..0.5);
+            }
+            let mlp = Mlp {
+                layers: vec![layer.clone(), mlp.layers[1].clone()],
+                ..mlp
+            };
+            let head: Vec<f32> = (0..split).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let prefix = mlp.prefix_first_layer(&head);
+            for rows in [1usize, 7, 4096] {
+                let sfx = inputs - split;
+                let tail: Vec<f32> = (0..rows * sfx).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let mut scratch = ScratchSpace::new();
+                scratch.input(rows, sfx).copy_from_slice(&tail);
+                mlp.first_layer_suffix(&prefix, &mut scratch);
+                let x = Mat::from_vec(rows, sfx, tail.clone());
+                let want = first_layer_scalar(&layer.w, split, &prefix.acc, &layer.b, &x, true);
+                assert_eq!(
+                    scratch.b.data(),
+                    want.as_slice(),
+                    "factored, hidden {hidden}, {rows} rows"
+                );
+
+                let full: Vec<f32> = tail
+                    .chunks_exact(sfx)
+                    .flat_map(|t| head.iter().chain(t).copied().collect::<Vec<_>>())
+                    .collect();
+                let x = Mat::from_vec(rows, inputs, full);
+                let mut out = Mat::zeros(rows, hidden);
+                for relu in [true, false] {
+                    dense0_seq(&layer.w, &layer.b, &x, &mut out, relu);
+                    let zero = vec![0.0; hidden];
+                    let mono = first_layer_scalar(&layer.w, 0, &zero, &layer.b, &x, relu);
+                    assert_eq!(
+                        out.data(),
+                        mono.as_slice(),
+                        "monolithic, hidden {hidden}, {rows} rows"
+                    );
+                }
+                // And the two agree with each other (relu on).
+                dense0_seq(&layer.w, &layer.b, &x, &mut out, true);
+                assert_eq!(out.data(), want.as_slice());
+            }
+        }
     }
 
     #[test]
