@@ -661,17 +661,18 @@ fn units<const W: usize>(
     h0: usize,
     relu: bool,
 ) -> usize {
-    let hidden = seed.len();
     let mut acc: [f32; W] = seed[h0..h0 + W].try_into().expect("unit block");
-    for (j, &xj) in xr.iter().enumerate() {
-        let w: &[f32; W] = wt[j * hidden + h0..][..W].try_into().expect("unit block");
+    let bias: &[f32; W] = bias[h0..h0 + W].try_into().expect("unit block");
+    let out: &mut [f32; W] = (&mut orow[h0..h0 + W]).try_into().expect("unit block");
+    for (wrow, &xj) in wt.chunks_exact(seed.len()).zip(xr) {
+        let w: &[f32; W] = wrow[h0..h0 + W].try_into().expect("unit block");
         for l in 0..W {
             acc[l] += w[l] * xj;
         }
     }
     for l in 0..W {
-        let v = acc[l] + bias[h0 + l];
-        orow[h0 + l] = if relu && v < 0.0 { 0.0 } else { v };
+        let v = acc[l] + bias[l];
+        out[l] = if relu && v < 0.0 { 0.0 } else { v };
     }
     W
 }
