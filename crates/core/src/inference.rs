@@ -10,46 +10,56 @@
 //!
 //! ## The staged pipeline
 //!
-//! A cold tune runs five stages over the precomputed space table
-//! ([`isaac_gen::legality::space_table`]), in fixed-size index chunks:
+//! A cold tune touches only the *legal* rows of the space, in fixed-size
+//! chunks of list positions:
 //!
-//! 1. **Legality**: filter each chunk down to the configurations that
-//!    compile and execute for this input on this device. The table is
-//!    in-space by construction, so only the *physical* rules run
-//!    ([`isaac_gen::legality::check_physical`]); the CONV path hoists its
-//!    implicit-GEMM view out of the loop too.
-//! 2. **Features**: each legal candidate's feature row is a 9-float copy
-//!    from the per-process encoded tuning table
-//!    ([`isaac_gen::legality::space_feature_table`]). The input-shape
-//!    half is *not* rebuilt per candidate: it is standardized once per
-//!    query and folded into the model's first layer
-//!    (`ModelBundle::query_prefix` -- the factored first layer), so per
-//!    candidate the engine touches only the columns that actually vary.
-//! 3. **(Optional) cheap pass**: with a [`CascadeConfig`], all legal
-//!    candidates are first scored by a collapsed-tail surrogate
-//!    (first layer + one dot product, ~10-20x cheaper than the full
-//!    network), and only a safety-margined top fraction survives to the
-//!    full model. Off by default: the default path is bit-identical to
-//!    the exhaustive engine, and the cascade-on path is guarded by tests
-//!    asserting the final [`TunedChoice`] matches the exhaustive one on
-//!    the benchmark shape suite.
-//! 4. **Full scores + top-k**: survivors (everything, when the cascade is
-//!    off) run through the factored full model inside pooled
-//!    [`ScratchSpace`]s; the top-k candidates are selected with an O(n)
-//!    partial selection (ties broken by index).
-//! 5. **Re-benchmark**: the finalists are measured on the device model
-//!    (best-of-`RE_BENCH_REPS`) and the fastest wins.
+//! 1. **Class lookup**: legality reads a dense shape only through its
+//!    dtype, whether an operand is contiguous along K and the widest
+//!    vector its contiguous dimensions allow, so the legal set -- space
+//!    indices in index order plus a contiguous copy of their encoded
+//!    tuning-feature rows -- is memoized per such class
+//!    ([`isaac_gen::legality::legal_class`], [`isaac_gen::conv::legal_class`])
+//!    and a query only looks it up. The first query of a class builds the
+//!    list by streaming the legality rules over the space once. The sparse
+//!    family's legality reads the whole input structure, so its 216-point
+//!    space is filtered per query instead.
+//! 2. **Cheap pass** (with a [`CascadeConfig`]; production tuners have
+//!    one): every legal candidate's 9-float feature row is copied into a
+//!    pooled [`ScratchSpace`] and scored by a collapsed-tail surrogate --
+//!    the factored first layer plus one dot product. The input-shape half
+//!    of the features is standardized once per query and folded into the
+//!    first layer (`ModelBundle::query_prefix`), so per candidate the
+//!    engine touches only the columns that vary.
+//! 3. **Survivors**: the top `keep_frac` of the cheap ranking (with
+//!    floors) go back to space order. When the cut would keep everyone
+//!    (small spaces) stages 2-3 are skipped: the result is the same and
+//!    the cheap pass could prune nothing.
+//! 4. **Full model + top-k**: survivors (every legal candidate, when the
+//!    cascade is off) run through the factored full network; the top-k
+//!    are selected with an O(n) partial selection, ties broken by
+//!    position.
+//! 5. **Re-benchmark**: the finalists are decoded from their space index,
+//!    measured on the device model (best-of-`RE_BENCH_REPS`), and the
+//!    fastest wins.
 //!
-//! [`StageBreakdown`] (from [`infer_gemm_staged`]) reports where a cold
-//! tune's time goes, stage by stage; the inference benchmark publishes it
-//! in `BENCH_inference.json`.
+//! Where the time goes (P100, f32, 93 149 legal rows, one engine thread,
+//! `keep_frac` 0.10; PR 21's host): class lookup ~2 us (first use of a
+//! class: ~16 ms for the index list + ~6 ms for the feature rows, once
+//! per process), cheap pass + survivor cut 6.0 ms (41 %), full model on
+//! the 9 315 survivors 8.6 ms (59 %), top-k 0.2 ms, re-benchmark 0.06 ms
+//! -- 14.6 ms in all, against 80 ms for the exhaustive sweep.
+//!
+//! [`StageBreakdown`] (from [`infer_gemm_staged`], which runs the
+//! exhaustive serial reference) reports where that path's time goes,
+//! stage by stage; `benchmark/`'s traced run publishes it.
 //!
 //! Determinism: every per-candidate computation is a pure function of the
-//! candidate index (the profiler's noise is seeded by kernel name and
-//! repetition, not by call order), reductions are index-ordered, and the
-//! MLP forward pass is row-independent -- so the result is bit-identical
-//! for 1 thread and N threads, with or without the cascade (the cascade's
-//! survivor cut is a total order over `(score, index)`).
+//! candidate (the profiler's noise is seeded by kernel name and
+//! repetition, not by call order), reductions are position-ordered, and
+//! the MLP forward pass is row-independent -- so the result is
+//! bit-identical for 1 thread and N threads, with or without the cascade
+//! (the cascade's survivor cut is a total order over `(score, position)`,
+//! and list position order is space index order).
 //! [`infer_gemm_serial`] runs the identical arithmetic without the
 //! fan-out and is used by tests and the bench harness as the reference
 //! and the pre-parallelism baseline.
@@ -102,15 +112,18 @@ pub struct TunedChoice {
     pub time_s: f64,
 }
 
-/// Coarse-to-fine cascade tuning knobs (stage 3 of the pipeline).
+/// Coarse-to-fine cascade tuning knobs (the cheap pass of the pipeline).
 ///
 /// The cheap surrogate ranks candidates well but not perfectly, so the
 /// survivor cut keeps a *safety margin*: at least `keep_frac` of the
 /// legal set and never fewer than `min_keep` candidates (nor fewer than
-/// the query's `top_k`). The defaults are deliberately generous -- the
-/// quality guard in `tests/cascade.rs` and the benchmark's
-/// `cascade_choice_matches` field check that the final re-benchmarked
-/// choice still matches the exhaustive path on the bench shape suite.
+/// the query's `top_k`). The default `keep_frac` is the smallest whose
+/// `choice_quality` (`benchmark/`, `cold_dense`: served time against the
+/// best legal configuration's) holds the exhaustive-leaning 0.25's in
+/// median and mean over twelve seeds -- 0.9620 / 0.9607 against 0.9607 /
+/// 0.9596; 0.07 and 0.05 fall below (table in CHANGES.md, PR 21).
+/// `tests/cascade.rs` checks the decision against the exhaustive path on
+/// the bench shapes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// Fraction of legal candidates surviving the cheap pass.
@@ -122,7 +135,7 @@ pub struct CascadeConfig {
 impl Default for CascadeConfig {
     fn default() -> Self {
         CascadeConfig {
-            keep_frac: 0.25,
+            keep_frac: 0.10,
             min_keep: 2048,
         }
     }
@@ -147,9 +160,10 @@ impl CascadeConfig {
 /// cold-tune time goes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
-    /// Legality filtering over the space table.
+    /// Legality class lookup (including the class build, on first use);
+    /// the per-query filter, for the sparse family.
     pub legality_s: f64,
-    /// Feature-row construction (tuning-table copies + standardization
+    /// Feature-row construction (class-row copies; standardization
     /// happens inside the predict stage's scratch, so this is the copy).
     pub features_s: f64,
     /// MLP forward passes (cheap + full).
@@ -195,7 +209,9 @@ pub fn enumerate_legal_gemm(shape: &GemmShape, spec: &DeviceSpec) -> Vec<GemmCon
 
 /// All configurations legal for a convolution, in space order.
 pub fn enumerate_legal_conv(shape: &ConvShape, spec: &DeviceSpec) -> Vec<GemmConfig> {
-    isaac_gen::conv::legal_class(shape, spec).configs().collect()
+    isaac_gen::conv::legal_class(shape, spec)
+        .configs()
+        .collect()
 }
 
 /// All sparse configurations legal for the input structure `shape`, in
