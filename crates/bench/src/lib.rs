@@ -21,7 +21,7 @@
 //! | 8.2 ablation | `ablations`| split / prefetch sweeps |
 //!
 //! Experiment sizes honour `ISAAC_SAMPLES`, `ISAAC_EPOCHS`, `ISAAC_T2_TRAIN`
-//! and `ISAAC_F5_MAX` (see EXPERIMENTS.md). Trained tuners are cached under
+//! and `ISAAC_F5_MAX` (see this crate's README). Trained tuners are cached under
 //! `target/isaac-cache/`.
 
 pub mod harness;

@@ -13,6 +13,7 @@
 use crate::config::GemmConfig;
 use crate::shapes::GemmShape;
 use isaac_device::{DType, DeviceSpec, MicroArch};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Value lists for each tuning parameter: the possible space X-hat.
 #[derive(Debug, Clone)]
@@ -107,7 +108,7 @@ pub fn space_iter() -> impl Iterator<Item = GemmConfig> {
 /// not touch it (it reads the per-class legal lists of [`legal_class`]);
 /// it serves tests and benchmarks that want the whole space at once.
 pub fn space_table() -> &'static [GemmConfig] {
-    static TABLE: std::sync::OnceLock<Vec<GemmConfig>> = std::sync::OnceLock::new();
+    static TABLE: OnceLock<Vec<GemmConfig>> = OnceLock::new();
     TABLE.get_or_init(|| space_iter().collect()).as_slice()
 }
 
@@ -132,10 +133,14 @@ fn encode_row(cfg: &GemmConfig, log: bool) -> [f32; 9] {
 /// `space_table()[i]`. Built on first use, ~18 MB per encoding; like
 /// [`space_table`] it is off the query path.
 pub fn space_feature_table(log: bool) -> &'static [[f32; 9]] {
-    static TABLES: [std::sync::OnceLock<Vec<[f32; 9]>>; 2] =
-        [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+    static TABLES: [OnceLock<Vec<[f32; 9]>>; 2] = [OnceLock::new(), OnceLock::new()];
     TABLES[log as usize]
-        .get_or_init(|| space_table().iter().map(|cfg| encode_row(cfg, log)).collect())
+        .get_or_init(|| {
+            space_table()
+                .iter()
+                .map(|cfg| encode_row(cfg, log))
+                .collect()
+        })
         .as_slice()
 }
 
@@ -368,27 +373,26 @@ struct LegalList {
     idx: Vec<u32>,
     /// Encoded tuning-feature rows of `idx`, raw and log, built on demand
     /// (enumeration and the heuristic never need them).
-    rows: [std::sync::OnceLock<Vec<[f32; 9]>>; 2],
+    rows: [OnceLock<Vec<[f32; 9]>>; 2],
 }
 
 /// At most this many [`LegalList`]s (~0.4 MB of indices + ~3.3 MB per
 /// feature encoding each) stay memoized; the least recently used goes.
 const MAX_LISTS: usize = 6;
 
-static LISTS: std::sync::Mutex<Vec<(LegalKey, std::sync::Arc<LegalList>)>> =
-    std::sync::Mutex::new(Vec::new());
+static LISTS: Mutex<Vec<(LegalKey, Arc<LegalList>)>> = Mutex::new(Vec::new());
 
-/// The legal subset of X-hat for one [`LegalKey`]: space indices in index
+/// The legal subset of X-hat for one legality class: space indices in index
 /// order plus a contiguous copy of their encoded tuning-feature rows. A
 /// view into a shared, memoized list.
 pub struct LegalClass {
-    list: std::sync::Arc<LegalList>,
+    list: Arc<LegalList>,
     len: usize,
 }
 
 /// The legal configurations of a GEMM `shape` on `spec`: exactly
 /// `(0..space_size()).filter(|i| check_physical(&decode(i), shape, spec).is_ok())`,
-/// looked up by [`LegalKey`] instead of recomputed.
+/// looked up by what the check reads of `(shape, spec)` instead of recomputed.
 pub fn legal_class(shape: &GemmShape, spec: &DeviceSpec) -> LegalClass {
     class_of(LegalKey::gemm(shape, spec), spec)
 }
@@ -410,11 +414,11 @@ pub(crate) fn class_of(key: LegalKey, spec: &DeviceSpec) -> LegalClass {
                 if lists.len() == MAX_LISTS {
                     lists.remove(0);
                 }
-                (list_key, std::sync::Arc::new(LegalList::build(&list_key, spec)))
+                (list_key, Arc::new(LegalList::build(&list_key, spec)))
             }
         };
         lists.push(entry);
-        std::sync::Arc::clone(&lists.last().expect("just pushed").1)
+        Arc::clone(&lists.last().expect("just pushed").1)
     };
     // Space indices below `bound` are exactly those with `vec <= max_vec`.
     let planes = VEC.values.iter().filter(|&&v| v <= key.max_vec).count();
@@ -705,14 +709,23 @@ mod tests {
             assert_eq!(class.indices(), reference, "{what}: class != filter");
             assert_eq!(class.len(), reference.len());
             let first = by_key.entry(key).or_insert_with(|| reference.clone());
-            assert_eq!(*first, reference, "{what}: equal keys, different legal sets");
+            assert_eq!(
+                *first, reference,
+                "{what}: equal keys, different legal sets"
+            );
         };
         for spec in [tesla_p100(), gtx980ti()] {
             for dtype in [DType::F16, DType::F32, DType::F64] {
                 for (ta, tb) in [("N", "N"), ("N", "T"), ("T", "N"), ("T", "T")] {
                     for _ in 0..2 {
-                        let shape =
-                            GemmShape::new(dim(&mut rng), dim(&mut rng), dim(&mut rng), ta, tb, dtype);
+                        let shape = GemmShape::new(
+                            dim(&mut rng),
+                            dim(&mut rng),
+                            dim(&mut rng),
+                            ta,
+                            tb,
+                            dtype,
+                        );
                         agree(
                             LegalKey::gemm(&shape, &spec),
                             legal_class(&shape, &spec),
@@ -745,7 +758,10 @@ mod tests {
         let odd = GemmShape::new(33, 64, 64, "N", "T", DType::F32);
         let class = legal_class(&odd, &spec);
         assert!(!class.is_empty());
-        assert!(class.configs().all(|cfg| cfg.vec == 1), "odd M caps vec at 1");
+        assert!(
+            class.configs().all(|cfg| cfg.vec == 1),
+            "odd M caps vec at 1"
+        );
         for log in [false, true] {
             let rows = class.feature_rows(log);
             assert_eq!(rows.len(), class.len());

@@ -1,7 +1,8 @@
 //! Reproducibility: the entire pipeline -- sampling, simulated
 //! benchmarking, MLP training, runtime inference -- is seeded, so two
 //! training runs with identical options must make identical decisions.
-//! This is what makes every number in EXPERIMENTS.md regenerable.
+//! This is what makes every number the benches and `benchmark/` print
+//! regenerable.
 
 use isaac::prelude::*;
 

@@ -1,6 +1,6 @@
 //! The paper's headline claims, as executable assertions on the
-//! reproduction (qualitative shape, not absolute numbers -- see
-//! EXPERIMENTS.md for the quantitative comparison).
+//! reproduction (qualitative shape, not absolute numbers -- the paper
+//! benches in `crates/bench` print the quantitative comparison).
 
 use isaac::prelude::*;
 use std::sync::OnceLock;
