@@ -430,7 +430,16 @@ struct Candidates<'a> {
     decode: fn(usize) -> GemmConfig,
 }
 
-impl Candidates<'_> {
+impl<'a> Candidates<'a> {
+    /// The members of a dense (GEMM / CONV) legality class.
+    fn dense(class: &'a LegalClass, log_features: bool) -> Self {
+        Candidates {
+            idx: class.indices(),
+            rows: class.feature_rows(log_features),
+            decode: isaac_gen::legality::decode,
+        }
+    }
+
     fn config(&self, pos: u32) -> GemmConfig {
         (self.decode)(self.idx[pos as usize] as usize)
     }
@@ -679,11 +688,7 @@ fn infer_gemm_engine(
     });
     infer_engine(
         bundle,
-        &Candidates {
-            idx: class.indices(),
-            rows: class.feature_rows(opts.log_features),
-            decode: isaac_gen::legality::decode,
-        },
+        &Candidates::dense(&class, opts.log_features),
         &shape_feats,
         opts,
         |cfg| {
@@ -790,11 +795,7 @@ fn infer_conv_engine(
     });
     infer_engine(
         bundle,
-        &Candidates {
-            idx: class.indices(),
-            rows: class.feature_rows(opts.log_features),
-            decode: isaac_gen::legality::decode,
-        },
+        &Candidates::dense(&class, opts.log_features),
         &shape_feats,
         opts,
         |cfg| {
