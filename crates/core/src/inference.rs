@@ -24,30 +24,33 @@
 //!    family's legality reads the whole input structure, so its 216-point
 //!    space is filtered per query instead.
 //! 2. **Cheap pass** (with a [`CascadeConfig`]; production tuners have
-//!    one): every legal candidate's 9-float feature row is copied into a
-//!    pooled [`ScratchSpace`] and scored by a collapsed-tail surrogate --
-//!    the factored first layer plus one dot product. The input-shape half
-//!    of the features is standardized once per query and folded into the
-//!    first layer (`ModelBundle::query_prefix`), so per candidate the
-//!    engine touches only the columns that vary.
+//!    one): every legal candidate is scored by a collapsed-tail surrogate
+//!    -- the factored first layer plus one dot product. The input-shape
+//!    half of the features is standardized once per query and folded into
+//!    the first layer (`ModelBundle::query_prefix`); the scoring kernel
+//!    (`ModelBundle::score_lanes`) gathers each candidate's 9 varying
+//!    columns from the class rows by list position and scores a block of
+//!    candidates at once, one per SIMD lane, on activation tiles from a
+//!    pooled scratch.
 //! 3. **Survivors**: the top `keep_frac` of the cheap ranking (with
 //!    floors) go back to space order. When the cut would keep everyone
 //!    (small spaces) stages 2-3 are skipped: the result is the same and
 //!    the cheap pass could prune nothing.
 //! 4. **Full model + top-k**: survivors (every legal candidate, when the
-//!    cascade is off) run through the factored full network; the top-k
-//!    are selected with an O(n) partial selection, ties broken by
-//!    position.
+//!    cascade is off) run through the full network in the same kernel;
+//!    the top-k are selected with an O(n) partial selection, ties broken
+//!    by position.
 //! 5. **Re-benchmark**: the finalists are decoded from their space index,
 //!    measured on the device model (best-of-`RE_BENCH_REPS`), and the
 //!    fastest wins.
 //!
-//! Where the time goes (P100, f32, 93 149 legal rows, one engine thread,
-//! `keep_frac` 0.10; PR 21's host): class lookup ~2 us (first use of a
-//! class: ~16 ms for the index list + ~6 ms for the feature rows, once
-//! per process), cheap pass + survivor cut 6.0 ms (41 %), full model on
-//! the 9 315 survivors 8.6 ms (59 %), top-k 0.2 ms, re-benchmark 0.06 ms
-//! -- 14.6 ms in all, against 80 ms for the exhaustive sweep.
+//! Where the time goes (P100, f32 GEMM, 93 149 legal rows, `keep_frac`
+//! 0.10, one engine thread; 2-vCPU Xeon with AVX-512, mean of 30 cold
+//! tunes): class lookup ~1 us (first use of a class: ~22 ms, once per
+//! process), cheap pass 1.9 ms (34 %, 21 ns/row), full model on the
+//! 9 315 survivors 3.4 ms (59 %, 0.36 us/row), survivor cut + top-k
+//! 0.34 ms (6 %), re-benchmark 0.05 ms (1 %) -- 5.8 ms in all. The
+//! kernels it replaced took 5.5 and 8.5 ms here (14.6 ms in all).
 //!
 //! [`StageBreakdown`] (from [`infer_gemm_staged`], which runs the
 //! exhaustive serial reference) reports where that path's time goes,
@@ -56,16 +59,17 @@
 //! Determinism: every per-candidate computation is a pure function of the
 //! candidate (the profiler's noise is seeded by kernel name and
 //! repetition, not by call order), reductions are position-ordered, and
-//! the MLP forward pass is row-independent -- so the result is
-//! bit-identical for 1 thread and N threads, with or without the cascade
-//! (the cascade's survivor cut is a total order over `(score, position)`,
-//! and list position order is space index order).
+//! the scoring kernel puts candidates in lanes, never terms of one
+//! candidate's sum -- so the result is bit-identical for 1 thread and N
+//! threads, for any block size or instruction set, with or without the
+//! cascade (the cascade's survivor cut is a total order over `(score,
+//! position)`, and list position order is space index order).
 //! [`infer_gemm_serial`] runs the identical arithmetic without the
 //! fan-out and is used by tests and the bench harness as the reference
 //! and the pre-parallelism baseline.
 //!
-//! Steady-state queries make **zero per-candidate allocations**: feature
-//! matrices, MLP activations and the candidate lists live in a
+//! Steady-state queries make **zero per-candidate allocations**: the
+//! scoring kernel's tiles and the candidate lists live in a
 //! process-wide scratch pool that is reused across queries, and
 //! [`engine_stats`] exposes the pool counters so tests can prove the
 //! pooled buffers stop growing. What remains per query is O(#chunks)
@@ -82,7 +86,7 @@ use isaac_gen::profile::{conv_profile, gemm_profile};
 use isaac_gen::shapes::{ConvShape, GemmShape};
 use isaac_gen::GemmConfig;
 use isaac_mlp::io::{ModelBundle, QueryPrefix};
-use isaac_mlp::ScratchSpace;
+use isaac_mlp::Pass;
 use isaac_sparse::profile::sparse_profile;
 use isaac_sparse::SparseShape;
 use rayon::prelude::*;
@@ -163,10 +167,11 @@ pub struct StageBreakdown {
     /// Legality class lookup (including the class build, on first use);
     /// the per-query filter, for the sparse family.
     pub legality_s: f64,
-    /// Feature-row construction (class-row copies; standardization
-    /// happens inside the predict stage's scratch, so this is the copy).
+    /// Feature-row construction. Always 0: the scoring kernel gathers
+    /// each candidate's class row by position inside `predict_s`, so
+    /// there is no separate stage to time.
     pub features_s: f64,
-    /// MLP forward passes (cheap + full).
+    /// Scoring-kernel calls (cheap + full), gather included.
     pub predict_s: f64,
     /// Top-k selection (and the cascade's survivor cut, when on).
     pub topk_s: f64,
@@ -341,8 +346,8 @@ fn fallback_choice(config: GemmConfig) -> TunedChoice {
 
 /// Per-worker reusable buffers for one chunk (or one whole query).
 struct EngineScratch {
-    /// MLP activations + flat feature input.
-    mlp: ScratchSpace,
+    /// The scoring kernel's input and activation tiles.
+    tile: Vec<f32>,
     /// Candidate `(list position, score)` pairs (cheap scores in cascade
     /// mode, full scores otherwise).
     cand: Vec<(u32, f32)>,
@@ -355,27 +360,25 @@ struct EngineScratch {
 /// instead of allocating.
 static SCRATCH_POOL: Mutex<Vec<EngineScratch>> = Mutex::new(Vec::new());
 static SCRATCHES_CREATED: AtomicU64 = AtomicU64::new(0);
-static CAND_GROWTHS: AtomicU64 = AtomicU64::new(0);
+static BUFFER_GROWTHS: AtomicU64 = AtomicU64::new(0);
 
 /// Allocation counters of the query engine's scratch pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Scratch workspaces ever created (bounded by peak concurrency).
     pub scratches_created: u64,
-    /// Total buffer growths inside pooled scratches (MLP activations,
-    /// feature buffers, candidate lists). Constant across repeated
-    /// queries once warm: the zero-allocation steady state.
+    /// Total buffer growths inside pooled scratches (the scoring
+    /// kernel's tiles, candidate lists). Constant across repeated queries
+    /// once warm: the zero-allocation steady state.
     pub buffer_growths: u64,
 }
 
 /// Snapshot the scratch-pool counters. Call between queries (quiescent
 /// engine) to assert the steady-state query path stops allocating.
 pub fn engine_stats() -> EngineStats {
-    let pool = SCRATCH_POOL.lock().expect("scratch pool poisoned");
     EngineStats {
         scratches_created: SCRATCHES_CREATED.load(Ordering::Relaxed),
-        buffer_growths: CAND_GROWTHS.load(Ordering::Relaxed)
-            + pool.iter().map(|s| s.mlp.allocations()).sum::<u64>(),
+        buffer_growths: BUFFER_GROWTHS.load(Ordering::Relaxed),
     }
 }
 
@@ -387,7 +390,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
         .unwrap_or_else(|| {
             SCRATCHES_CREATED.fetch_add(1, Ordering::Relaxed);
             EngineScratch {
-                mlp: ScratchSpace::new(),
+                tile: Vec::new(),
                 cand: Vec::new(),
                 full: Vec::new(),
             }
@@ -400,13 +403,15 @@ fn with_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
     out
 }
 
-/// Push extending `v`, counting capacity growths into the pool stats.
-fn extend_tracked(v: &mut Vec<(u32, f32)>, items: impl IntoIterator<Item = (u32, f32)>) {
+/// Run `f` on a pooled buffer, counting a capacity growth into the pool
+/// stats.
+fn tracked<T, R>(v: &mut Vec<T>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
     let cap = v.capacity();
-    v.extend(items);
+    let out = f(v);
     if v.capacity() > cap {
-        CAND_GROWTHS.fetch_add(1, Ordering::Relaxed);
+        BUFFER_GROWTHS.fetch_add(1, Ordering::Relaxed);
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -463,50 +468,38 @@ fn dense_class(
 
 /// The per-query model context shared by every scoring call: the trained
 /// bundle, its precomputed factored prefix, and the candidates' encoded
-/// tuning-feature rows.
+/// tuning-feature rows, back to back.
 struct ModelCtx<'a> {
     bundle: &'a ModelBundle,
     prefix: &'a QueryPrefix,
-    rows: &'a [[f32; TUNING_FEATURES]],
+    rows: &'a [f32],
 }
 
-/// Score the candidates at list positions `ids`: copy each one's
-/// precomputed tuning-feature row into a pooled scratch and run the
-/// factored model (cheap surrogate or full network). Returns
-/// `(position, score)` pairs in `ids` order.
+/// Score the candidates at list positions `ids` with the lane kernel,
+/// which gathers their feature rows by position and runs `pass` on
+/// tiles from a pooled scratch. Returns `(position, score)` pairs in
+/// `ids` order.
 fn score_rows(
     ctx: &ModelCtx<'_>,
-    cheap: bool,
-    ids: impl ExactSizeIterator<Item = u32> + Clone,
-    mut times: Option<&mut StageBreakdown>,
+    pass: Pass,
+    ids: impl Iterator<Item = u32>,
+    times: Option<&mut StageBreakdown>,
 ) -> Vec<(u32, f32)> {
+    let mark = Instant::now();
+    let mut out: Vec<(u32, f32)> = ids.map(|pos| (pos, 0.0)).collect();
     with_scratch(|scratch| {
-        let mut mark = Instant::now();
-        let n = ids.len();
-        let buf = scratch.mlp.input(n, TUNING_FEATURES);
-        for (dst, pos) in buf.chunks_exact_mut(TUNING_FEATURES).zip(ids.clone()) {
-            dst.copy_from_slice(&ctx.rows[pos as usize]);
-        }
-        if let Some(bd) = times.as_deref_mut() {
-            let now = Instant::now();
-            bd.features_s += (now - mark).as_secs_f64();
-            mark = now;
-        }
-        let scores = if cheap {
-            ctx.bundle.cheap_scores_suffix(ctx.prefix, &mut scratch.mlp)
-        } else {
+        tracked(&mut scratch.tile, |tile| {
             ctx.bundle
-                .predict_scratch_suffix(ctx.prefix, &mut scratch.mlp)
-        };
-        let out = ids.zip(scores.iter().copied()).collect();
-        if let Some(bd) = times {
-            bd.predict_s += mark.elapsed().as_secs_f64();
-            if !cheap {
-                bd.scored_full += n as u64;
-            }
+                .score_lanes(ctx.prefix, pass, ctx.rows, &mut out, tile)
+        })
+    });
+    if let Some(bd) = times {
+        bd.predict_s += mark.elapsed().as_secs_f64();
+        if pass == Pass::Full {
+            bd.scored_full += out.len() as u64;
         }
-        out
-    })
+    }
+    out
 }
 
 /// Run `score(lo, hi)` over `0..n` in [`CHUNK`]-sized slices -- fanned
@@ -531,13 +524,13 @@ fn score_chunked(
             })
             .collect();
         for part in parts {
-            extend_tracked(into, part);
+            tracked(into, |into| into.extend(part));
         }
     } else {
         for ci in 0..chunks {
             let (lo, hi) = slice(ci);
             let part = score(lo, hi, stages.as_deref_mut());
-            extend_tracked(into, part);
+            tracked(into, |into| into.extend(part));
         }
     }
 }
@@ -572,19 +565,23 @@ fn infer_engine(
     let ctx = ModelCtx {
         bundle,
         prefix: &prefix,
-        rows: legal.rows,
+        rows: legal.rows.as_flattened(),
     };
 
     with_scratch(|query| {
         // Scores for every legal candidate (cheap surrogate scores when
         // the cascade is on).
-        let cheap = cascade.is_some();
+        let pass = if cascade.is_some() {
+            Pass::Cheap
+        } else {
+            Pass::Full
+        };
         score_chunked(
             n,
             opts.parallel,
             &mut query.cand,
             stages.as_deref_mut(),
-            |lo, hi, times| score_rows(&ctx, cheap, lo as u32..hi as u32, times),
+            |lo, hi, times| score_rows(&ctx, pass, lo as u32..hi as u32, times),
         );
         if query.cand.is_empty() {
             return None;
@@ -610,7 +607,7 @@ fn infer_engine(
                 stages.as_deref_mut(),
                 |lo, hi, times| {
                     let ids = survivors[lo..hi].iter().map(|&(pos, _)| pos);
-                    score_rows(&ctx, false, ids, times)
+                    score_rows(&ctx, Pass::Full, ids, times)
                 },
             );
             &mut query.full

@@ -1431,7 +1431,12 @@ impl TuneCache {
 pub struct TrainOptions {
     /// Benchmark samples to generate.
     pub samples: usize,
-    /// Hidden-layer sizes of the regression MLP.
+    /// Hidden-layer sizes of the regression MLP. The default
+    /// `[64, 128, 64]` was measured against smaller nets (`[64, 64]`,
+    /// `[128, 64]`, `[96, 64]`, `[128]`, `[64]`, `[32, 32]`) on
+    /// `benchmark/`'s `cold_dense` `choice_quality` over twelve seeds,
+    /// and none held both its median and mean; the table is in
+    /// CHANGES.md.
     pub hidden: Vec<usize>,
     /// Training epochs.
     pub epochs: usize,

@@ -15,6 +15,7 @@
 //! `target/isaac-cache/` with this.
 
 use crate::data::Standardizer;
+use crate::lanes::Pass;
 use crate::matrix::Mat;
 use crate::mlp::Mlp;
 use std::fmt::Write as _;
@@ -26,8 +27,8 @@ use std::fmt::Write as _;
 /// candidate. See [`ModelBundle::query_prefix`].
 #[derive(Debug, Clone)]
 pub struct QueryPrefix {
-    first: crate::mlp::FirstLayerPrefix,
-    tail: Option<crate::mlp::CheapTail>,
+    pub(crate) first: crate::mlp::FirstLayerPrefix,
+    pub(crate) tail: Option<crate::mlp::CheapTail>,
 }
 
 impl QueryPrefix {
@@ -81,7 +82,7 @@ impl ModelBundle {
 
     /// Like [`ModelBundle::predict_rows`], but over raw feature rows the
     /// caller already wrote into `scratch.input(rows, stride)` -- the
-    /// zero-copy entry used by the tuning query engine.
+    /// zero-copy entry.
     pub fn predict_scratch<'s>(&self, scratch: &'s mut crate::mlp::ScratchSpace) -> &'s [f32] {
         let (rows, stride) = scratch.input_shape();
         {
@@ -92,15 +93,19 @@ impl ModelBundle {
             }
         }
         self.mlp.predict_scratch(scratch);
-        self.denormalize(scratch, rows)
+        let out = scratch.active_mut();
+        for v in out.iter_mut() {
+            *v = *v * self.y_std + self.y_mean;
+        }
+        &out[..rows]
     }
 
     /// Precompute the per-query half of a factored forward pass: the
     /// leading `raw_prefix.len()` features (a tuning query's input-shape
     /// half) are standardized once and folded into first-layer partial
     /// sums. Candidate rows then carry only the remaining columns --
-    /// [`ModelBundle::predict_scratch_suffix`] is bit-identical to
-    /// [`ModelBundle::predict_scratch`] on full rows, for ~`split/width`
+    /// [`ModelBundle::score_lanes`] is bit-identical to
+    /// [`ModelBundle::predict_rows`] on full rows, for ~`split/width`
     /// less feature traffic and first-layer arithmetic per candidate.
     pub fn query_prefix(&self, raw_prefix: &[f32]) -> QueryPrefix {
         let mut p = raw_prefix.to_vec();
@@ -114,70 +119,33 @@ impl ModelBundle {
     }
 
     /// Like [`ModelBundle::query_prefix`], additionally collapsing the
-    /// network tail for the cascade's cheap pass
-    /// ([`ModelBundle::cheap_scores_suffix`]).
+    /// network tail for the cascade's cheap pass ([`Pass::Cheap`]).
     pub fn query_prefix_cascade(&self, raw_prefix: &[f32]) -> QueryPrefix {
         let mut p = self.query_prefix(raw_prefix);
         p.tail = Some(self.mlp.collapse_tail());
         p
     }
 
-    /// Full-model predictions over *suffix* feature rows the caller wrote
-    /// into `scratch.input(rows, width - split)`, in the original target
-    /// scale. Standardization of the suffix columns, the factored first
-    /// layer, the tail layers and denormalization all run in `scratch`.
-    pub fn predict_scratch_suffix<'s>(
+    /// Score candidate rows with the lane kernel ([`crate::lanes`]), in
+    /// the original target scale: the cheap surrogate or the full network
+    /// over the query's factored first layer.
+    ///
+    /// `rows` holds the candidates' raw *suffix* feature rows (width
+    /// `sizes[0] - prefix.split()`), back to back. Each `cands[i].0` is
+    /// the position of a row in `rows`; the kernel writes that row's score
+    /// into `cands[i].1`. `tile` is the kernel's activation storage: it
+    /// grows on first use and is reused after, so a caller that keeps it
+    /// across queries stops allocating. A full-pass score equals
+    /// [`ModelBundle::predict_rows`] on the whole feature row bit for bit.
+    pub fn score_lanes(
         &self,
         prefix: &QueryPrefix,
-        scratch: &'s mut crate::mlp::ScratchSpace,
-    ) -> &'s [f32] {
-        let rows = self.standardize_suffix(prefix, scratch);
-        self.mlp.predict_scratch_suffix(&prefix.first, scratch);
-        self.denormalize(scratch, rows)
-    }
-
-    /// Cheap-surrogate scores (collapsed tail; see
-    /// [`crate::mlp::Mlp::collapse_tail`]) over suffix feature rows, in
-    /// the original target scale. Requires a prefix built with
-    /// [`ModelBundle::query_prefix_cascade`].
-    pub fn cheap_scores_suffix<'s>(
-        &self,
-        prefix: &QueryPrefix,
-        scratch: &'s mut crate::mlp::ScratchSpace,
-    ) -> &'s [f32] {
-        let tail = prefix
-            .tail
-            .as_ref()
-            .expect("prefix built without query_prefix_cascade");
-        let rows = self.standardize_suffix(prefix, scratch);
-        self.mlp.cheap_scratch_suffix(&prefix.first, tail, scratch);
-        self.denormalize(scratch, rows)
-    }
-
-    /// Standardize the suffix columns of every row in the scratch input;
-    /// returns the row count.
-    fn standardize_suffix(
-        &self,
-        prefix: &QueryPrefix,
-        scratch: &mut crate::mlp::ScratchSpace,
-    ) -> usize {
-        let (rows, stride) = scratch.input_shape();
-        let split = prefix.first.split();
-        let buf = scratch.active_mut();
-        for r in 0..rows {
-            self.standardizer
-                .apply_row_from(split, &mut buf[r * stride..(r + 1) * stride]);
-        }
-        rows
-    }
-
-    /// Rescale the scratch's output column to the original target scale.
-    fn denormalize<'s>(&self, scratch: &'s mut crate::mlp::ScratchSpace, rows: usize) -> &'s [f32] {
-        let out = scratch.active_mut();
-        for v in out.iter_mut() {
-            *v = *v * self.y_std + self.y_mean;
-        }
-        &out[..rows]
+        pass: Pass,
+        rows: &[f32],
+        cands: &mut [(u32, f32)],
+        tile: &mut Vec<f32>,
+    ) {
+        crate::lanes::score(self, prefix, pass, rows, cands, tile);
     }
 
     /// Predict a batch of raw feature rows in the original target scale.
@@ -409,6 +377,26 @@ mod tests {
         assert_eq!(zero_copy, batch.as_slice());
     }
 
+    /// The suffix columns (`split..`) of every `nfeat`-wide row of `flat`.
+    fn suffixes(flat: &[f32], nfeat: usize, split: usize) -> Vec<f32> {
+        flat.chunks_exact(nfeat)
+            .flat_map(|row| row[split..].iter().copied())
+            .collect()
+    }
+
+    /// Lane-kernel scores of the `n` rows of `rows`, in order.
+    fn lane_scores(
+        bundle: &ModelBundle,
+        prefix: &QueryPrefix,
+        pass: Pass,
+        rows: &[f32],
+        n: usize,
+    ) -> Vec<f32> {
+        let mut cands: Vec<(u32, f32)> = (0..n as u32).map(|pos| (pos, f32::NAN)).collect();
+        bundle.score_lanes(prefix, pass, rows, &mut cands, &mut Vec::new());
+        cands.into_iter().map(|(_, s)| s).collect()
+    }
+
     /// Satellite property test: the factored first layer against the
     /// monolithic forward, bit for bit, on random bundles across every
     /// split point and odd batch sizes.
@@ -438,44 +426,24 @@ mod tests {
             let mut scratch = ScratchSpace::new();
             let full = bundle.predict_rows(&flat, nfeat, &mut scratch).to_vec();
             for split in 0..=nfeat {
+                // Every row shares row 0's prefix here, so compare against
+                // the monolithic pass on rows rebuilt with that prefix.
                 let prefix = bundle.query_prefix(&flat[..split]);
-                // Every row shares the same prefix here; suffix rows are
-                // the remaining columns of each full row.
-                let sfx = nfeat - split;
-                let buf = scratch.input(rows, sfx);
-                for r in 0..rows {
-                    buf[r * sfx..(r + 1) * sfx]
-                        .copy_from_slice(&flat[r * nfeat + split..(r + 1) * nfeat]);
-                }
-                // Rows whose prefix differs from row 0's would differ; use
-                // row 0's prefix for all rows *and* compare against the
-                // monolithic pass on rows rebuilt with that prefix.
-                let rebuilt: Vec<f32> = (0..rows)
-                    .flat_map(|r| {
-                        flat[..split]
-                            .iter()
-                            .chain(&flat[r * nfeat + split..(r + 1) * nfeat])
-                            .copied()
-                            .collect::<Vec<_>>()
-                    })
+                let rebuilt: Vec<f32> = flat
+                    .chunks_exact(nfeat)
+                    .flat_map(|row| flat[..split].iter().chain(&row[split..]).copied())
                     .collect();
-                let mut mono_scratch = ScratchSpace::new();
-                let mono = bundle
-                    .predict_rows(&rebuilt, nfeat, &mut mono_scratch)
-                    .to_vec();
-                let buf = scratch.input(rows, sfx);
-                for r in 0..rows {
-                    buf[r * sfx..(r + 1) * sfx]
-                        .copy_from_slice(&flat[r * nfeat + split..(r + 1) * nfeat]);
-                }
-                let fact = bundle.predict_scratch_suffix(&prefix, &mut scratch);
+                let mono = bundle.predict_rows(&rebuilt, nfeat, &mut scratch).to_vec();
+                let sfx = suffixes(&flat, nfeat, split);
+                let fact = lane_scores(&bundle, &prefix, Pass::Full, &sfx, rows);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    fact,
-                    mono.as_slice(),
+                    bits(&fact),
+                    bits(&mono),
                     "sizes {sizes:?} split {split}: factored must be bit-identical"
                 );
                 if split == 0 {
-                    assert_eq!(fact, full.as_slice(), "split 0 degenerates to full rows");
+                    assert_eq!(bits(&fact), bits(&full), "split 0 degenerates to full rows");
                 }
             }
         }
@@ -483,10 +451,9 @@ mod tests {
 
     /// The collapsed cheap tail is *exact* for depth-2 networks (layers
     /// `1..` is just the affine output layer), so the surrogate must
-    /// reproduce the full model bitwise there.
+    /// reproduce the full model there, up to summation order.
     #[test]
     fn cheap_tail_is_exact_for_two_layer_nets() {
-        use crate::mlp::ScratchSpace;
         let nfeat = 6;
         let bundle = ModelBundle {
             mlp: Mlp::new(&[nfeat, 24, 1], 9),
@@ -499,27 +466,17 @@ mod tests {
         };
         let rows = 9;
         let split = 2;
-        let sfx = nfeat - split;
         let flat: Vec<f32> = (0..rows * nfeat)
             .map(|i| ((i * 13) % 29) as f32 / 7.0 - 2.0)
             .collect();
         let prefix = bundle.query_prefix_cascade(&flat[..split]);
-        let mut scratch = ScratchSpace::new();
-        let fill = |scratch: &mut ScratchSpace| {
-            let buf = scratch.input(rows, sfx);
-            for r in 0..rows {
-                buf[r * sfx..(r + 1) * sfx]
-                    .copy_from_slice(&flat[r * nfeat + split..(r + 1) * nfeat]);
-            }
-        };
-        fill(&mut scratch);
-        let cheap = bundle.cheap_scores_suffix(&prefix, &mut scratch).to_vec();
-        fill(&mut scratch);
-        let full = bundle.predict_scratch_suffix(&prefix, &mut scratch);
+        let sfx = suffixes(&flat, nfeat, split);
+        let cheap = lane_scores(&bundle, &prefix, Pass::Cheap, &sfx, rows);
+        let full = lane_scores(&bundle, &prefix, Pass::Full, &sfx, rows);
         // The surrogate's dot product reduces sequentially while the full
-        // model's output layer goes through the tiled kernel, so the two
+        // model's output layer uses the eight-partial order, so the two
         // differ only by f32 summation order.
-        for (r, (c, f)) in cheap.iter().zip(full).enumerate() {
+        for (r, (c, f)) in cheap.iter().zip(&full).enumerate() {
             assert!(
                 (c - f).abs() <= 1e-4 * (1.0 + f.abs()),
                 "row {r}: cheap {c} vs full {f} (depth-2 collapse must be exact up to order)"

@@ -29,24 +29,33 @@
 //!   ([`mlp::ScratchSpace::allocations`] / [`mlp::ScratchSpace::filled`]
 //!   prove it).
 //! * Hidden layers multiply through the register-blocked, lane-split
-//!   [`matrix::Mat::mul_bt`] micro-kernel; the first layer can be
-//!   *factored* ([`mlp::Mlp::prefix_first_layer`] +
-//!   `io::ModelBundle::predict_scratch_suffix`) so the constant half of a
-//!   query's features is multiplied in exactly once.
+//!   [`matrix::Mat::mul_bt`] micro-kernel.
+//! * A tuning query scores its candidates through the *factored* path:
+//!   [`io::ModelBundle::query_prefix`] folds the constant half of the
+//!   query's features into first-layer partial sums once
+//!   ([`mlp::Mlp::prefix_first_layer`]), and
+//!   [`io::ModelBundle::score_lanes`] ([`lanes`]) runs the rest of the
+//!   network over candidate suffix rows gathered by position, one
+//!   candidate per SIMD lane, on L1-resident activation tiles.
 //! * [`mlp::Mlp::collapse_tail`] folds layers `1..` into one affine map --
-//!   the cheap surrogate the coarse-to-fine cascade in `isaac-core` scores
-//!   every candidate with before spending the full network on survivors.
+//!   the cheap surrogate ([`lanes::Pass::Cheap`]) the coarse-to-fine
+//!   cascade in `isaac-core` scores every candidate with before spending
+//!   the full network on survivors.
 //!
 //! Results are bit-identical to the allocating `predict_batch` path for
-//! any batch split and any prefix/suffix factoring, which is what makes
-//! the parallel query engine in `isaac-core` deterministic.
+//! any batch split and any prefix/suffix factoring: the lane kernel puts
+//! candidates in lanes, never terms of one candidate's sum, so every sum
+//! keeps the `Mat` path's order. That is what makes the parallel query
+//! engine in `isaac-core` deterministic.
 
 pub mod data;
 pub mod io;
+pub mod lanes;
 pub mod matrix;
 pub mod mlp;
 
 pub use data::{Dataset, Standardizer};
+pub use lanes::Pass;
 pub use matrix::Mat;
 pub use mlp::{
     CheapTail, FirstLayerPrefix, Mlp, Optimizer, ScratchSpace, TrainConfig, TrainReport,

@@ -75,7 +75,7 @@ impl Mat {
     /// the high-water mark the call touches no memory at all, so repeated
     /// big/small/big reshapes pay neither a memset nor a reallocation.
     /// The returned [`ResetReport`] feeds the
-    /// [`crate::mlp::ScratchSpace`] counters that prove the query path
+    /// [`crate::mlp::ScratchSpace`] counters that prove batched prediction
     /// stops allocating (and stops filling) at steady state.
     pub fn reset(&mut self, rows: usize, cols: usize) -> ResetReport {
         self.rows = rows;

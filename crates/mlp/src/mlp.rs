@@ -274,24 +274,16 @@ impl Mlp {
     pub fn predict_scratch<'s>(&self, scratch: &'s mut ScratchSpace) -> &'s [f32] {
         let (rows, cols) = scratch.input_shape();
         assert_eq!(cols, self.sizes[0], "scratch input width mismatch");
-        let layer = &self.layers[0];
-        let rep = scratch.b.reset(rows, layer.w.rows);
-        scratch.count(rep);
-        let last = self.layers.len() == 1;
-        dense0_seq(&layer.w, &layer.b, &scratch.a, &mut scratch.b, !last);
-        std::mem::swap(&mut scratch.a, &mut scratch.b);
-        self.forward_tail(scratch, rows)
-    }
-
-    /// Layers `1..` of the forward pass over the activations currently in
-    /// `scratch.a`. Shared by the monolithic and factored entry points --
-    /// identical code, hence identical bits.
-    fn forward_tail<'s>(&self, scratch: &'s mut ScratchSpace, rows: usize) -> &'s [f32] {
-        for (li, layer) in self.layers.iter().enumerate().skip(1) {
+        for (li, layer) in self.layers.iter().enumerate() {
             let rep = scratch.b.reset(rows, layer.w.rows);
             scratch.count(rep);
-            scratch.a.mul_bt(&layer.w, &mut scratch.b);
-            bias_relu(&mut scratch.b, &layer.b, li + 1 != self.layers.len());
+            let relu = li + 1 != self.layers.len();
+            if li == 0 {
+                dense0_seq(&layer.w, &layer.b, &scratch.a, &mut scratch.b, relu);
+            } else {
+                scratch.a.mul_bt(&layer.w, &mut scratch.b);
+                bias_relu(&mut scratch.b, &layer.b, relu);
+            }
             std::mem::swap(&mut scratch.a, &mut scratch.b);
         }
         scratch.a.data()
@@ -303,8 +295,8 @@ impl Mlp {
     /// left to right. `prefix` must already be standardized (the model
     /// bundle's `query_prefix` handles that).
     ///
-    /// [`Mlp::predict_scratch_suffix`] continues the same sum over the
-    /// remaining columns per candidate row, so
+    /// The lane kernel (`ModelBundle::score_lanes`) continues the same sum
+    /// over the remaining columns per candidate row, so
     /// `factor + continue == dense0_seq` *bitwise* -- the factored first
     /// layer changes the FLOP count, not a single output bit.
     pub fn prefix_first_layer(&self, prefix: &[f32]) -> FirstLayerPrefix {
@@ -327,47 +319,6 @@ impl Mlp {
             split: prefix.len(),
             wt: transposed_cols(w, prefix.len()),
         }
-    }
-
-    /// Forward pass over candidate rows holding only the *suffix*
-    /// features (width `sizes[0] - prefix.split()`) in
-    /// `scratch.input(..)`, continuing the first-layer sums precomputed
-    /// by [`Mlp::prefix_first_layer`]. Bit-identical to running
-    /// [`Mlp::predict_scratch`] on the full feature rows.
-    pub fn predict_scratch_suffix<'s>(
-        &self,
-        prefix: &FirstLayerPrefix,
-        scratch: &'s mut ScratchSpace,
-    ) -> &'s [f32] {
-        let rows = scratch.a.rows;
-        self.first_layer_suffix(prefix, scratch);
-        std::mem::swap(&mut scratch.a, &mut scratch.b);
-        self.forward_tail(scratch, rows)
-    }
-
-    /// Factored first layer into `scratch.b`: continue `prefix.acc` over
-    /// the suffix columns in `scratch.a`, add bias, apply ReLU unless the
-    /// first layer is also the output.
-    fn first_layer_suffix(&self, prefix: &FirstLayerPrefix, scratch: &mut ScratchSpace) {
-        let (rows, cols) = scratch.input_shape();
-        assert_eq!(
-            prefix.split + cols,
-            self.sizes[0],
-            "prefix + suffix must cover the input layer"
-        );
-        let layer = &self.layers[0];
-        assert_eq!(prefix.acc.len(), layer.w.rows, "prefix/model mismatch");
-        let rep = scratch.b.reset(rows, layer.w.rows);
-        scratch.count(rep);
-        let relu = self.layers.len() > 1;
-        first_layer(
-            &prefix.acc,
-            &prefix.wt,
-            &layer.b,
-            scratch.a.data(),
-            scratch.b.data_mut(),
-            relu,
-        );
     }
 
     /// Collapse layers `1..` into a single affine map by dropping their
@@ -398,33 +349,6 @@ impl Mlp {
             v = nv;
         }
         CheapTail { v, b }
-    }
-
-    /// Cheap cascade scores over suffix rows in `scratch.input(..)`: the
-    /// factored first layer followed by the collapsed tail's dot product.
-    /// Returns one surrogate score per row (raw network scale), borrowed
-    /// from the scratch.
-    pub fn cheap_scratch_suffix<'s>(
-        &self,
-        prefix: &FirstLayerPrefix,
-        tail: &CheapTail,
-        scratch: &'s mut ScratchSpace,
-    ) -> &'s [f32] {
-        let rows = scratch.a.rows;
-        self.first_layer_suffix(prefix, scratch);
-        assert_eq!(tail.v.len(), self.layers[0].w.rows, "tail/model mismatch");
-        let rep = scratch.a.reset(rows, 1);
-        scratch.count(rep);
-        let (b, a) = (&scratch.b, &mut scratch.a);
-        for r in 0..rows {
-            let act = b.row(r);
-            let mut s = tail.b;
-            for (vh, ah) in tail.v.iter().zip(act) {
-                s += vh * ah;
-            }
-            a.set(r, 0, s);
-        }
-        scratch.a.data()
     }
 
     /// Predict one feature vector.
@@ -525,18 +449,17 @@ impl Mlp {
 
 /// The precomputed constant half of a factored first layer: partial
 /// first-layer sums over a query's fixed leading features. Built by
-/// [`Mlp::prefix_first_layer`], consumed by
-/// [`Mlp::predict_scratch_suffix`] / [`Mlp::cheap_scratch_suffix`].
+/// [`Mlp::prefix_first_layer`], consumed by the lane kernel
+/// (`ModelBundle::score_lanes`).
 #[derive(Debug, Clone)]
 pub struct FirstLayerPrefix {
     /// Per-hidden-unit partial sums over the prefix columns.
-    acc: Vec<f32>,
+    pub(crate) acc: Vec<f32>,
     /// Number of leading input columns folded into `acc`.
     split: usize,
     /// First-layer weights of the remaining columns, transposed to
-    /// `[column][hidden unit]` so the per-candidate kernel walks hidden
-    /// units contiguously (see [`first_layer`]).
-    wt: Vec<f32>,
+    /// `[column][hidden unit]`.
+    pub(crate) wt: Vec<f32>,
 }
 
 impl FirstLayerPrefix {
@@ -551,9 +474,9 @@ impl FirstLayerPrefix {
 #[derive(Debug, Clone)]
 pub struct CheapTail {
     /// Collapsed weight vector over the first hidden layer.
-    v: Vec<f32>,
+    pub(crate) v: Vec<f32>,
     /// Collapsed bias.
-    b: f32,
+    pub(crate) b: f32,
 }
 
 /// Columns `from..` of the `(out x in)` weight matrix `w`, transposed to
@@ -565,9 +488,9 @@ fn transposed_cols(w: &Mat, from: usize) -> Vec<f32> {
 }
 
 /// Monolithic first-layer forward: [`first_layer`] from a zero seed over
-/// every input column. The factored query path runs the same kernel from
-/// the prefix sums over the remaining columns, so each output is the same
-/// left-to-right sum either way -- which is what makes factored and
+/// every input column. The factored query path continues the prefix sums
+/// over the remaining columns in the same order, so each output is the
+/// same left-to-right sum either way -- which is what makes factored and
 /// monolithic forwards bit-identical.
 fn dense0_seq(w: &Mat, bias: &[f32], x: &Mat, out: &mut Mat, relu: bool) {
     first_layer(
@@ -1006,16 +929,11 @@ mod tests {
             for rows in [1usize, 7, 4096] {
                 let sfx = inputs - split;
                 let tail: Vec<f32> = (0..rows * sfx).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                let mut scratch = ScratchSpace::new();
-                scratch.input(rows, sfx).copy_from_slice(&tail);
-                mlp.first_layer_suffix(&prefix, &mut scratch);
+                let mut fact = vec![0.0; rows * hidden];
+                first_layer(&prefix.acc, &prefix.wt, &layer.b, &tail, &mut fact, true);
                 let x = Mat::from_vec(rows, sfx, tail.clone());
                 let want = first_layer_scalar(&layer.w, split, &prefix.acc, &layer.b, &x, true);
-                assert_eq!(
-                    scratch.b.data(),
-                    want.as_slice(),
-                    "factored, hidden {hidden}, {rows} rows"
-                );
+                assert_eq!(fact, want, "factored, hidden {hidden}, {rows} rows");
 
                 let full: Vec<f32> = tail
                     .chunks_exact(sfx)

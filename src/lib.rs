@@ -46,8 +46,9 @@
 //! model search fans out across cores with bit-deterministic
 //! reductions (a coarse-to-fine surrogate cascade prunes the candidate
 //! set by default; set `TrainOptions::cascade = None` for the
-//! exhaustive path), feature batches are built in place inside pooled
-//! scratch buffers (`isaac_mlp::ScratchSpace`), and decisions are
+//! exhaustive path), candidates are scored straight from the legal
+//! class's feature rows, a SIMD block at a time, on pooled activation
+//! tiles (`isaac_mlp::io::ModelBundle::score_lanes`), and decisions are
 //! memoized in a shape-keyed, `RwLock`-guarded `isaac_core::TuneCache`
 //! (a size-bounded LRU with per-entry hit counts) -- so tuning methods
 //! take `&self` and a trained tuner can serve many threads. [`serve`]
