@@ -32,15 +32,14 @@
 //!
 //! So a full-pass score equals [`ModelBundle::predict_rows`] on the whole
 //! feature row bit for bit, whatever `R` is. The kernel is written once
-//! over a register type (`Simd`) and instantiated three times: portable
-//! arrays, AVX2 and AVX-512F registers (each op one IEEE-754 instruction
-//! per lane). The widest variant the CPU supports runs, chosen at run
-//! time like `Mat::mul_bt`'s, and `R` is a constant per instruction set
-//! and pass.
+//! over a register type and instantiated three times: portable arrays,
+//! AVX2 and AVX-512F registers (the `simd` module). The widest variant the
+//! CPU supports runs, and `R` is a constant per instruction set and pass.
 
 use crate::io::{ModelBundle, QueryPrefix};
 use crate::matrix::LANES;
 use crate::mlp::{CheapTail, Dense, FirstLayerPrefix};
+use crate::simd::{Isa, Kernel, Simd};
 
 /// Which network [`ModelBundle::score_lanes`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +85,12 @@ pub(crate) fn score(
         0,
         "rows must hold whole suffix rows"
     );
-    Isa::detect().score(&net, rows, cands, tile);
+    Isa::detect().run(Score {
+        net: &net,
+        rows,
+        cands,
+        tile,
+    });
 }
 
 impl<'a> Net<'a> {
@@ -127,301 +131,34 @@ impl<'a> Net<'a> {
     }
 }
 
-/// Lane-wise arithmetic on one register of `W` candidates. An
-/// implementation is a token: holding one proves the CPU runs its
-/// instructions. Every operation is one IEEE-754 operation per lane -- no
-/// fused multiply-add, no reassociation -- so every implementation gives
-/// the same bits.
-trait Simd<const W: usize>: Copy {
-    /// One register of `W` lanes.
-    type V: Copy;
-    fn splat(self, v: f32) -> Self::V;
-    fn load(self, src: &[f32; W]) -> Self::V;
-    fn store(self, v: Self::V, dst: &mut [f32; W]);
-    fn add(self, a: Self::V, b: Self::V) -> Self::V;
-    fn sub(self, a: Self::V, b: Self::V) -> Self::V;
-    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
-    fn div(self, a: Self::V, b: Self::V) -> Self::V;
-    /// `if v < 0.0 { 0.0 } else { v }` per lane (so `-0.0` and NaN pass
-    /// through unchanged).
-    fn relu(self, v: Self::V) -> Self::V;
+/// One [`score`] call as a [`Kernel`].
+struct Score<'n, 'a> {
+    net: &'n Net<'a>,
+    rows: &'n [f32],
+    cands: &'n mut [(u32, f32)],
+    tile: &'n mut Vec<f32>,
 }
 
-/// Portable lanes: plain arrays, for any CPU.
-#[derive(Debug, Clone, Copy)]
-struct Portable;
-
-impl<const W: usize> Simd<W> for Portable {
-    type V = [f32; W];
+impl Kernel for Score<'_, '_> {
+    /// Run [`blocks`] with four registers per block in the cheap pass;
+    /// in the full pass two 16-lane (AVX-512F) registers, or one 8-lane
+    /// one, where eight partials of two registers each would not fit the
+    /// sixteen AVX2 registers. Several registers per block keep
+    /// independent add chains in flight; the counts are the fastest
+    /// measured per instruction set.
     #[inline(always)]
-    fn splat(self, v: f32) -> [f32; W] {
-        [v; W]
-    }
-    #[inline(always)]
-    fn load(self, src: &[f32; W]) -> [f32; W] {
-        *src
-    }
-    #[inline(always)]
-    fn store(self, v: [f32; W], dst: &mut [f32; W]) {
-        *dst = v;
-    }
-    #[inline(always)]
-    fn add(self, mut a: [f32; W], b: [f32; W]) -> [f32; W] {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x += y;
+    fn run<S: Simd<W>, const W: usize>(self, s: S) {
+        let Score {
+            net,
+            rows,
+            cands,
+            tile,
+        } = self;
+        match (net.tail.is_some(), W) {
+            (true, _) => blocks::<S, W, 4>(s, net, rows, cands, tile),
+            (false, 16) => blocks::<S, W, 2>(s, net, rows, cands, tile),
+            (false, _) => blocks::<S, W, 1>(s, net, rows, cands, tile),
         }
-        a
-    }
-    #[inline(always)]
-    fn sub(self, mut a: [f32; W], b: [f32; W]) -> [f32; W] {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x -= y;
-        }
-        a
-    }
-    #[inline(always)]
-    fn mul(self, mut a: [f32; W], b: [f32; W]) -> [f32; W] {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x *= y;
-        }
-        a
-    }
-    #[inline(always)]
-    fn div(self, mut a: [f32; W], b: [f32; W]) -> [f32; W] {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x /= y;
-        }
-        a
-    }
-    #[inline(always)]
-    fn relu(self, mut v: [f32; W]) -> [f32; W] {
-        for x in &mut v {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-        v
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! AVX2 and AVX-512F lanes. Each intrinsic below is one IEEE-754
-    //! operation per lane. `max_ps(0, v)` returns its second operand `v`
-    //! unless `0 > v`, also when `v` is `-0.0` or NaN, which is exactly
-    //! [`super::Simd::relu`]. The kernel entry points are compiled with
-    //! the instruction set enabled, so the intrinsics inline.
-
-    use super::{by_pass, Net, Simd};
-    use std::arch::x86_64::*;
-
-    /// Proof of AVX2 support: only [`Avx2::detect`] makes one.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx2(());
-
-    impl Avx2 {
-        pub(super) fn detect() -> Option<Self> {
-            is_x86_feature_detected!("avx2").then_some(Avx2(()))
-        }
-    }
-
-    /// Proof of AVX-512F support: only [`Avx512::detect`] makes one.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx512(());
-
-    impl Avx512 {
-        pub(super) fn detect() -> Option<Self> {
-            is_x86_feature_detected!("avx512f").then_some(Avx512(()))
-        }
-    }
-
-    // An `Avx2` exists only when the CPU supports AVX2, which is all these
-    // intrinsics need.
-    impl Simd<8> for Avx2 {
-        type V = __m256;
-        #[inline(always)]
-        fn splat(self, v: f32) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_set1_ps(v) }
-        }
-        #[inline(always)]
-        fn load(self, src: &[f32; 8]) -> __m256 {
-            // SAFETY: `self` proves AVX2 support; `src` holds 8 floats.
-            unsafe { _mm256_loadu_ps(src.as_ptr()) }
-        }
-        #[inline(always)]
-        fn store(self, v: __m256, dst: &mut [f32; 8]) {
-            // SAFETY: `self` proves AVX2 support; `dst` holds 8 floats.
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m256, b: __m256) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_add_ps(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m256, b: __m256) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_sub_ps(a, b) }
-        }
-        #[inline(always)]
-        fn mul(self, a: __m256, b: __m256) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_mul_ps(a, b) }
-        }
-        #[inline(always)]
-        fn div(self, a: __m256, b: __m256) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_div_ps(a, b) }
-        }
-        #[inline(always)]
-        fn relu(self, v: __m256) -> __m256 {
-            // SAFETY: `self` proves AVX2 support.
-            unsafe { _mm256_max_ps(_mm256_setzero_ps(), v) }
-        }
-    }
-
-    // An `Avx512` exists only when the CPU supports AVX-512F, which is all
-    // these intrinsics need.
-    impl Simd<16> for Avx512 {
-        type V = __m512;
-        #[inline(always)]
-        fn splat(self, v: f32) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_set1_ps(v) }
-        }
-        #[inline(always)]
-        fn load(self, src: &[f32; 16]) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support; `src` holds 16 floats.
-            unsafe { _mm512_loadu_ps(src.as_ptr()) }
-        }
-        #[inline(always)]
-        fn store(self, v: __m512, dst: &mut [f32; 16]) {
-            // SAFETY: `self` proves AVX-512F support; `dst` holds 16 floats.
-            unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m512, b: __m512) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_add_ps(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m512, b: __m512) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_sub_ps(a, b) }
-        }
-        #[inline(always)]
-        fn mul(self, a: __m512, b: __m512) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_mul_ps(a, b) }
-        }
-        #[inline(always)]
-        fn div(self, a: __m512, b: __m512) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_div_ps(a, b) }
-        }
-        #[inline(always)]
-        fn relu(self, v: __m512) -> __m512 {
-            // SAFETY: `self` proves AVX-512F support.
-            unsafe { _mm512_max_ps(_mm512_setzero_ps(), v) }
-        }
-    }
-
-    /// The kernel compiled with AVX2 enabled: 32 lanes (four registers)
-    /// in the cheap pass, 8 in the full pass, where eight partials of two
-    /// registers each would not fit the sixteen AVX2 registers.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn score_avx2(
-        t: Avx2,
-        net: &Net<'_>,
-        rows: &[f32],
-        cands: &mut [(u32, f32)],
-        tile: &mut Vec<f32>,
-    ) {
-        by_pass::<_, 8, 4, 1>(t, net, rows, cands, tile);
-    }
-
-    /// The kernel compiled with AVX-512F enabled: 64 lanes (four
-    /// registers) in the cheap pass, 32 (two) in the full pass.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn score_avx512(
-        t: Avx512,
-        net: &Net<'_>,
-        rows: &[f32],
-        cands: &mut [(u32, f32)],
-        tile: &mut Vec<f32>,
-    ) {
-        by_pass::<_, 16, 4, 2>(t, net, rows, cands, tile);
-    }
-}
-
-/// The instruction sets the kernel is compiled for. Every variant runs
-/// the same source, so they differ in speed only.
-#[derive(Debug, Clone, Copy)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2(x86::Avx2),
-    #[cfg(target_arch = "x86_64")]
-    Avx512(x86::Avx512),
-}
-
-impl Isa {
-    /// The widest variant this CPU runs.
-    fn detect() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if let Some(t) = x86::Avx512::detect() {
-                return Isa::Avx512(t);
-            }
-            if let Some(t) = x86::Avx2::detect() {
-                return Isa::Avx2(t);
-            }
-        }
-        Isa::Portable
-    }
-
-    /// Every variant this CPU runs, portable first.
-    #[cfg(test)]
-    fn supported() -> Vec<Isa> {
-        let mut isas = vec![Isa::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            isas.extend(x86::Avx2::detect().map(Isa::Avx2));
-            isas.extend(x86::Avx512::detect().map(Isa::Avx512));
-        }
-        isas
-    }
-
-    fn score(self, net: &Net<'_>, rows: &[f32], cands: &mut [(u32, f32)], tile: &mut Vec<f32>) {
-        match self {
-            Isa::Portable => by_pass::<_, 8, 4, 1>(Portable, net, rows, cands, tile),
-            // SAFETY: the token proves the CPU supports AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2(t) => unsafe { x86::score_avx2(t, net, rows, cands, tile) },
-            // SAFETY: the token proves the CPU supports AVX-512F.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512(t) => unsafe { x86::score_avx512(t, net, rows, cands, tile) },
-        }
-    }
-}
-
-/// Run [`blocks`] with `CHEAP` registers of `W` lanes per block for the
-/// cheap pass and `FULL` for the full one. Several registers per block
-/// keep independent add chains in flight; the counts are the fastest
-/// measured per instruction set.
-#[inline(always)]
-fn by_pass<S: Simd<W>, const W: usize, const CHEAP: usize, const FULL: usize>(
-    s: S,
-    net: &Net<'_>,
-    rows: &[f32],
-    cands: &mut [(u32, f32)],
-    tile: &mut Vec<f32>,
-) {
-    if net.tail.is_some() {
-        blocks::<S, W, CHEAP>(s, net, rows, cands, tile);
-    } else {
-        blocks::<S, W, FULL>(s, net, rows, cands, tile);
     }
 }
 
@@ -693,7 +430,12 @@ mod tests {
     ) -> Vec<u32> {
         let n = rows.len() / (WIDTH - SPLIT);
         let mut cands: Vec<(u32, f32)> = (0..n as u32).rev().map(|p| (p, f32::NAN)).collect();
-        isa.score(&Net::new(b, prefix, pass), rows, &mut cands, tile);
+        isa.run(Score {
+            net: &Net::new(b, prefix, pass),
+            rows,
+            cands: &mut cands,
+            tile,
+        });
         cands.reverse();
         assert!(cands.iter().enumerate().all(|(i, c)| c.0 == i as u32));
         cands.iter().map(|c| c.1.to_bits()).collect()
@@ -772,61 +514,6 @@ mod tests {
                     let generic = generic.get_or_insert((got_full.clone(), got_cheap.clone()));
                     assert_eq!((&got_full, &got_cheap), (&generic.0, &generic.1), "{what}");
                 }
-            }
-        }
-    }
-
-    /// Every lane operation of `s` against the scalar operation it stands
-    /// for, bit for bit, on values where instruction sets tend to differ:
-    /// signed zeros, NaN, infinities and subnormals.
-    fn check_ops<S: Simd<W>, const W: usize>(s: S) {
-        let special = [
-            0.0f32,
-            -0.0,
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            1e-40,
-            -1e-40,
-            1.5,
-            -2.25,
-            f32::MAX,
-        ];
-        let pick =
-            |i: usize| std::array::from_fn::<f32, W, _>(|l| special[(i + l) % special.len()]);
-        let bits = |v: S::V| {
-            let mut out = [0.0; W];
-            s.store(v, &mut out);
-            out.map(f32::to_bits)
-        };
-        for i in 0..special.len() {
-            for j in 0..special.len() {
-                let (a, b) = (pick(i), pick(j));
-                let (va, vb) = (s.load(&a), s.load(&b));
-                let want =
-                    |f: fn(f32, f32) -> f32| std::array::from_fn(|l| f(a[l], b[l]).to_bits());
-                assert_eq!(bits(s.add(va, vb)), want(|x, y| x + y), "add");
-                assert_eq!(bits(s.sub(va, vb)), want(|x, y| x - y), "sub");
-                assert_eq!(bits(s.mul(va, vb)), want(|x, y| x * y), "mul");
-                assert_eq!(bits(s.div(va, vb)), want(|x, y| x / y), "div");
-            }
-            let a = pick(i);
-            let relu = a.map(|x| if x < 0.0 { 0.0f32 } else { x }.to_bits());
-            assert_eq!(bits(s.relu(s.load(&a))), relu, "relu");
-            assert_eq!(bits(s.splat(a[0])), [a[0].to_bits(); W], "splat");
-        }
-    }
-
-    #[test]
-    fn lane_ops_match_scalar_ops_bitwise() {
-        check_ops::<_, 8>(Portable);
-        for isa in Isa::supported() {
-            match isa {
-                Isa::Portable => {}
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2(t) => check_ops(t),
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512(t) => check_ops(t),
             }
         }
     }

@@ -47,12 +47,27 @@
 //! candidates in lanes, never terms of one candidate's sum, so every sum
 //! keeps the `Mat` path's order. That is what makes the parallel query
 //! engine in `isaac-core` deterministic.
+//!
+//! ## Training
+//!
+//! Every shard fits its model before it serves, so [`mlp::Mlp::train`]
+//! is most of a shard's set-up. Each mini-batch step runs the forward
+//! pass above, then the backward pass: the weight gradient
+//! `dW += dZ^T * A` ([`matrix::Mat::add_at_b`]) and the input gradient
+//! `dA = dZ * W` ([`matrix::Mat::mul`]), one register-blocked kernel that
+//! lists a row's nonzero `dZ` entries without a branch and skips the
+//! rest (ReLU zeroes about half), then the ReLU-derivative mask as a
+//! select, then the optimizer update. Each gradient element keeps its sum
+//! order and skip set on every instruction set, so the trained weights,
+//! and the decisions made with them, are the same bits whichever variant
+//! the CPU runs.
 
 pub mod data;
 pub mod io;
 pub mod lanes;
 pub mod matrix;
 pub mod mlp;
+mod simd;
 
 pub use data::{Dataset, Standardizer};
 pub use lanes::Pass;

@@ -7,6 +7,16 @@
 //! cost anyway. The straightforward scalar loop is kept as
 //! [`Mat::mul_bt_naive`] -- the property-test reference and the
 //! micro-benchmark baseline.
+//!
+//! The backward-pass products [`Mat::add_at_b`] (weight gradient) and
+//! [`Mat::mul`] (input gradient) are one register-blocked kernel,
+//! `AddProduct`, written over the `simd` module's register type and run
+//! as the widest instruction set the CPU supports. Per output element it
+//! keeps the order and skip set of the plain loops it replaced (kept as
+//! test references), so training gives the same weights, bit for bit,
+//! on every variant.
+
+use crate::simd::{Isa, Kernel, Simd};
 
 /// f32 lanes per accumulator vector of the tiled kernel. Eight f32s is
 /// one AVX2 register; on narrower ISAs LLVM splits the lane arrays into
@@ -190,10 +200,31 @@ impl Mat {
     /// `out += self^T * other`: `(m x k)^T * (m x n) -> (k x n)`,
     /// accumulated into `out`. Used for weight gradients
     /// (`dW += dZ^T * A`).
+    ///
+    /// `out[i][j]` adds `self[r][i] * other[r][j]` for `r` ascending,
+    /// skipping exactly the `r` where `self[r][i] == 0.0` (`-0.0` too, so
+    /// a NaN or infinity in `other` beside a zero stays out). ReLU zeroes
+    /// about half of `dZ`, so the skip is most of the saving. See
+    /// `AddProduct` for how the kernel keeps that order.
     pub fn add_at_b(&self, other: &Mat, out: &mut Mat) {
-        assert_eq!(self.rows, other.rows, "outer dims");
-        assert_eq!(out.rows, self.cols);
-        assert_eq!(out.cols, other.cols);
+        Isa::detect().run(AddProduct::at_b(self, other, out));
+    }
+
+    /// `out = self * other`: `(m x k) * (k x n) -> (m x n)`. Used for the
+    /// input-gradient product `dA = dZ * W` (W stored `(out x in)`, so this
+    /// is a plain row-times-matrix walk).
+    ///
+    /// `out[r][j]` starts at `+0.0` and adds `self[r][i] * other[i][j]`
+    /// for `i` ascending over the `i` where `self[r][i] != 0.0`, like
+    /// [`Mat::add_at_b`].
+    pub fn mul(&self, other: &Mat, out: &mut Mat) {
+        Isa::detect().run(AddProduct::ab(self, other, out));
+    }
+
+    /// The loop [`Mat::add_at_b`] replaced, kept as the reference for the
+    /// kernel's bitwise tests.
+    #[cfg(test)]
+    pub(crate) fn add_at_b_reference(&self, other: &Mat, out: &mut Mat) {
         for r in 0..self.rows {
             let a = self.row(r);
             let b = other.row(r);
@@ -209,13 +240,10 @@ impl Mat {
         }
     }
 
-    /// `out = self * other`: `(m x k) * (k x n) -> (m x n)`. Used for the
-    /// input-gradient product `dA = dZ * W` (W stored `(out x in)`, so this
-    /// is a plain row-times-matrix walk).
-    pub fn mul(&self, other: &Mat, out: &mut Mat) {
-        assert_eq!(self.cols, other.rows, "inner dims");
-        assert_eq!(out.rows, self.rows);
-        assert_eq!(out.cols, other.cols);
+    /// The loop [`Mat::mul`] replaced, kept as the reference for the
+    /// kernel's bitwise tests.
+    #[cfg(test)]
+    pub(crate) fn mul_reference(&self, other: &Mat, out: &mut Mat) {
         for r in 0..self.rows {
             let a = self.row(r);
             let orow = out.row_mut(r);
@@ -340,9 +368,153 @@ fn block<const MR_: usize, const NR_: usize>(
     }
 }
 
+/// The backward-pass products as one kernel: `out += L * b`, where the
+/// left operand is read through strides, `L[o][t] = a[o * step + t *
+/// stride]` (`Mat::add_at_b` reads `A^T`, `Mat::mul` reads `A`), `b` is
+/// `len x n` and `out` is `rows x n`, row-major.
+///
+/// For each output row the kernel first copies `L`'s nonzero entries
+/// into an `(offset of b's row, value)` list without a branch, then adds
+/// `v * b[t][j]` over the list into whole blocks of the row held in
+/// registers. Each output element thus gets the terms of the old scalar
+/// loop in its order, with a separate multiply and add (lanes hold
+/// different outputs, never terms of one sum), so every instruction set
+/// gives that loop's bits.
+struct AddProduct<'a> {
+    a: &'a [f32],
+    /// Distance in `a` between output rows' first terms.
+    step: usize,
+    /// Distance in `a` between one output row's terms.
+    stride: usize,
+    /// Terms per output row: `L`'s columns, `b`'s rows.
+    len: usize,
+    b: &'a [f32],
+    /// Columns of `b` and `out`.
+    n: usize,
+    out: &'a mut [f32],
+}
+
+impl<'a> AddProduct<'a> {
+    /// `out += a^T * b` ([`Mat::add_at_b`]).
+    fn at_b(a: &'a Mat, b: &'a Mat, out: &'a mut Mat) -> Self {
+        assert_eq!(a.rows, b.rows, "outer dims");
+        assert_eq!(out.rows, a.cols);
+        assert_eq!(out.cols, b.cols);
+        AddProduct {
+            a: a.data(),
+            step: 1,
+            stride: a.cols,
+            len: a.rows,
+            b: b.data(),
+            n: out.cols,
+            out: out.data_mut(),
+        }
+    }
+
+    /// `out = a * b` ([`Mat::mul`]): zeroes `out`, then adds.
+    fn ab(a: &'a Mat, b: &'a Mat, out: &'a mut Mat) -> Self {
+        assert_eq!(a.cols, b.rows, "inner dims");
+        assert_eq!(out.rows, a.rows);
+        assert_eq!(out.cols, b.cols);
+        out.data_mut().fill(0.0);
+        AddProduct {
+            a: a.data(),
+            step: a.cols,
+            stride: 1,
+            len: a.cols,
+            b: b.data(),
+            n: out.cols,
+            out: out.data_mut(),
+        }
+    }
+}
+
+impl Kernel for AddProduct<'_> {
+    #[inline(always)]
+    fn run<S: Simd<W>, const W: usize>(self, s: S) {
+        let AddProduct {
+            a,
+            step,
+            stride,
+            len,
+            b,
+            n,
+            out,
+        } = self;
+        if n == 0 || len == 0 {
+            return;
+        }
+        let mut list = vec![(0usize, 0.0f32); len];
+        for (o, row) in out.chunks_exact_mut(n).enumerate() {
+            // Every entry is written; only a nonzero one (NaN included)
+            // moves the end past it.
+            let mut end = 0;
+            let lhs = a[o * step..][..(len - 1) * stride + 1]
+                .iter()
+                .step_by(stride);
+            for (t, &v) in lhs.enumerate() {
+                list[end] = (t * n, v);
+                end += (v != 0.0) as usize;
+            }
+            add_row(s, row, &list[..end], b);
+        }
+    }
+}
+
+/// `row[j] += v * b[off + j]` for each `(off, v)` of `list` in order: up
+/// to eight registers of the row at a time (128 floats on AVX-512F, 64
+/// on AVX2), then narrower blocks, then the last `row.len() % W` columns
+/// one by one.
+#[inline(always)]
+fn add_row<S: Simd<W>, const W: usize>(s: S, row: &mut [f32], list: &[(usize, f32)], b: &[f32]) {
+    let n = row.len();
+    let mut j = 0;
+    while n - j >= W {
+        j += match (n - j) / W {
+            8.. => add_block::<S, W, 8>(s, row, list, b, j),
+            4..=7 => add_block::<S, W, 4>(s, row, list, b, j),
+            2 | 3 => add_block::<S, W, 2>(s, row, list, b, j),
+            _ => add_block::<S, W, 1>(s, row, list, b, j),
+        };
+    }
+    let rest = &mut row[j..];
+    for &(off, v) in list {
+        for (o, &x) in rest.iter_mut().zip(&b[off + j..]) {
+            *o += v * x;
+        }
+    }
+}
+
+/// Columns `j..j + R * W` of [`add_row`], accumulated in `R` registers;
+/// returns `R * W`.
+#[inline(always)]
+fn add_block<S: Simd<W>, const W: usize, const R: usize>(
+    s: S,
+    row: &mut [f32],
+    list: &[(usize, f32)],
+    b: &[f32],
+    j: usize,
+) -> usize {
+    let (out, _) = row[j..j + R * W].as_chunks_mut::<W>();
+    let mut acc: [S::V; R] = std::array::from_fn(|q| s.load(&out[q]));
+    for &(off, v) in list {
+        let (x, _) = b[off + j..off + j + R * W].as_chunks::<W>();
+        let v = s.splat(v);
+        for (acc, x) in acc.iter_mut().zip(x) {
+            *acc = s.add(*acc, s.mul(v, s.load(x)));
+        }
+    }
+    for (o, acc) in out.iter_mut().zip(acc) {
+        s.store(acc, o);
+    }
+    R * W
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f32) -> Mat {
         let mut m = Mat::zeros(rows, cols);
@@ -365,6 +537,141 @@ mod tests {
             for c in 0..4 {
                 let want: f32 = (0..3).map(|k| a.get(r, k) * b.get(c, k)).sum();
                 assert!((out.get(r, c) - want).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// How much of a backward-pass left operand (a `dZ`) is zero.
+    #[derive(Debug, Clone, Copy)]
+    enum Zeros {
+        None,
+        /// About half, like ReLU, plus every fifth line (row or column,
+        /// as [`zero_lines`] is told) whole.
+        Half,
+        All,
+    }
+
+    /// Random values with `zeros`' share replaced by zeros of either sign.
+    fn operand(rows: usize, cols: usize, zeros: Zeros, rng: &mut StdRng) -> Mat {
+        let mut m = Mat::zeros(rows, cols);
+        for v in m.data_mut() {
+            let zero = match zeros {
+                Zeros::None => false,
+                Zeros::Half => rng.gen_bool(0.5),
+                Zeros::All => true,
+            };
+            *v = match (zero, rng.gen_bool(0.5)) {
+                (true, true) => 0.0,
+                (true, false) => -0.0,
+                (false, _) => rng.gen_range(-2.0..2.0),
+            };
+        }
+        m
+    }
+
+    /// For [`Zeros::Half`], zero every fifth row (`by_row`) or column of
+    /// `a`. Then put NaN and infinities in row `t` of `b` wherever line
+    /// `t` of `a` is all zero: every term they are in is skipped, so a
+    /// kernel that does not skip exactly the zeros gives a NaN.
+    fn zero_lines(a: &mut Mat, b: &mut Mat, zeros: Zeros, by_row: bool) {
+        let (lines, len) = if by_row {
+            (a.rows, a.cols)
+        } else {
+            (a.cols, a.rows)
+        };
+        let at = |t: usize, u: usize| if by_row { (t, u) } else { (u, t) };
+        for t in 0..lines {
+            if matches!(zeros, Zeros::Half) && t % 5 == 2 {
+                for u in 0..len {
+                    let (r, c) = at(t, u);
+                    a.set(r, c, if u % 2 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+            if (0..len).all(|u| {
+                let (r, c) = at(t, u);
+                a.get(r, c) == 0.0
+            }) {
+                let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                for (j, v) in b.row_mut(t).iter_mut().enumerate() {
+                    *v = poison[j % 3];
+                }
+            }
+        }
+    }
+
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Widths the backward kernels meet: the sparse and dense input
+    /// layers (19, 15), the default hidden layers (64, 128), the output
+    /// (1) and one that is not a multiple of 16 or 8 above the register
+    /// width (44).
+    const WIDTHS: [usize; 6] = [1, 15, 19, 44, 64, 128];
+    /// Batch rows: one, a handful, the ragged last batch of a shard's
+    /// 5 400 training rows, and a full batch.
+    const BATCHES: [usize; 4] = [1, 7, 24, 128];
+
+    /// `add_at_b` on every instruction-set variant the host runs against
+    /// the loop it replaced, bit for bit, and so against each other: every
+    /// width and batch above, no / half / all zeros, `-0.0`, and NaN or
+    /// infinity in rows of `b` whose `a` entries are zero. `out` starts
+    /// from random values and `-0.0`, so accumulation is checked too.
+    #[test]
+    fn add_at_b_matches_the_old_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for m in BATCHES {
+            for k in WIDTHS {
+                for n in WIDTHS {
+                    for zeros in [Zeros::None, Zeros::Half, Zeros::All] {
+                        let mut a = operand(m, k, zeros, &mut rng);
+                        let mut b = operand(m, n, Zeros::None, &mut rng);
+                        zero_lines(&mut a, &mut b, zeros, true);
+                        let mut start = operand(k, n, Zeros::None, &mut rng);
+                        start.set(0, 0, -0.0);
+                        let mut want = start.clone();
+                        a.add_at_b_reference(&b, &mut want);
+                        let mut generic = None;
+                        for isa in Isa::supported() {
+                            let mut got = start.clone();
+                            isa.run(AddProduct::at_b(&a, &b, &mut got));
+                            let got = bits(&got);
+                            let what = format!("{isa:?}: {m}x{k} ^T * {m}x{n}, {zeros:?}");
+                            assert_eq!(got, bits(&want), "{what}");
+                            assert_eq!(&got, generic.get_or_insert_with(|| got.clone()), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `mul` likewise: every variant against the loop it replaced, with
+    /// NaN and infinities in rows of `b` whose `a` column is zero, and an
+    /// `out` full of NaN that the product must overwrite from `+0.0`.
+    #[test]
+    fn mul_matches_the_old_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for m in BATCHES {
+            for k in WIDTHS {
+                for n in WIDTHS {
+                    for zeros in [Zeros::None, Zeros::Half, Zeros::All] {
+                        let mut a = operand(m, k, zeros, &mut rng);
+                        let mut b = operand(k, n, Zeros::None, &mut rng);
+                        zero_lines(&mut a, &mut b, zeros, false);
+                        let mut want = Mat::from_vec(m, n, vec![f32::NAN; m * n]);
+                        a.mul_reference(&b, &mut want);
+                        let mut generic = None;
+                        for isa in Isa::supported() {
+                            let mut got = Mat::from_vec(m, n, vec![f32::NAN; m * n]);
+                            isa.run(AddProduct::ab(&a, &b, &mut got));
+                            let got = bits(&got);
+                            let what = format!("{isa:?}: {m}x{k} * {k}x{n}, {zeros:?}");
+                            assert_eq!(got, bits(&want), "{what}");
+                            assert_eq!(&got, generic.get_or_insert_with(|| got.clone()), "{what}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -81,8 +81,6 @@ impl Default for TrainConfig {
 pub struct TrainReport {
     /// Validation MSE after each epoch.
     pub val_mse: Vec<f32>,
-    /// Final training MSE.
-    pub train_mse: f32,
 }
 
 impl TrainReport {
@@ -397,10 +395,7 @@ impl Mlp {
             val_mse.push(self.mse(val));
             lr *= cfg.lr_decay;
         }
-        TrainReport {
-            val_mse,
-            train_mse: self.mse(train),
-        }
+        TrainReport { val_mse }
     }
 
     /// One gradient step on a batch.
@@ -429,14 +424,9 @@ impl Mlp {
                 let mut da = Mat::zeros(dz.rows, self.layers[li].w.cols);
                 dz.mul(&self.layers[li].w, &mut da);
                 let z_prev = &acts[li]; // post-ReLU activation of layer li
-                for r in 0..da.rows {
-                    let mask = z_prev.row(r);
-                    let row = da.row_mut(r);
-                    for (v, &m) in row.iter_mut().zip(mask) {
-                        if m <= 0.0 {
-                            *v = 0.0;
-                        }
-                    }
+                for (v, &m) in da.data_mut().iter_mut().zip(z_prev.data()) {
+                    // A select, not a branch: ReLU zeroes about half.
+                    *v = if m <= 0.0 { 0.0 } else { *v };
                 }
                 opt.update(li, &mut self.layers[li], &dw, &db, lr);
                 dz = da;
@@ -738,6 +728,100 @@ mod tests {
             (num_grad - analytic).abs() < 2e-2_f32.max(num_grad.abs() * 0.05),
             "numerical {num_grad} vs analytic {analytic}"
         );
+    }
+
+    /// `Mlp::step` as it was before the backward kernels, kept as the
+    /// reference: the old `add_at_b` / `mul` loops and a branching ReLU
+    /// mask.
+    fn step_reference(mlp: &mut Mlp, batch: &Dataset, lr: f32, opt: &mut OptState) {
+        let acts = mlp.forward(&batch.x);
+        let nb = batch.len() as f32;
+        let out = acts.last().expect("output activations");
+        let mut dz = Mat::zeros(out.rows, 1);
+        for r in 0..out.rows {
+            dz.set(r, 0, 2.0 * (out.get(r, 0) - batch.y[r]) / nb);
+        }
+        for li in (0..mlp.layers.len()).rev() {
+            let a_prev = &acts[li];
+            let mut dw = Mat::zeros(mlp.layers[li].w.rows, mlp.layers[li].w.cols);
+            dz.add_at_b_reference(a_prev, &mut dw);
+            let mut db = vec![0.0f32; mlp.layers[li].b.len()];
+            for r in 0..dz.rows {
+                for (d, v) in db.iter_mut().zip(dz.row(r)) {
+                    *d += v;
+                }
+            }
+            if li > 0 {
+                let mut da = Mat::zeros(dz.rows, mlp.layers[li].w.cols);
+                dz.mul_reference(&mlp.layers[li].w, &mut da);
+                let z_prev = &acts[li];
+                for r in 0..da.rows {
+                    let mask = z_prev.row(r);
+                    let row = da.row_mut(r);
+                    for (v, &m) in row.iter_mut().zip(mask) {
+                        if m <= 0.0 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                opt.update(li, &mut mlp.layers[li], &dw, &db, lr);
+                dz = da;
+            } else {
+                opt.update(li, &mut mlp.layers[li], &dw, &db, lr);
+            }
+        }
+    }
+
+    /// `Mlp::train` gives the weights of the same schedule run through
+    /// [`step_reference`], bit for bit, under both optimizers: a sparse
+    /// shard's 19 inputs, hidden widths that are not multiples of the
+    /// register width, and a ragged final batch (300 = 4 x 64 + 44).
+    #[test]
+    fn training_matches_the_reference_step_bitwise() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut x = Mat::zeros(300, 19);
+        let mut y = Vec::with_capacity(300);
+        for r in 0..300 {
+            for c in 0..19 {
+                x.set(r, c, rng.gen_range(-1.0..1.0));
+            }
+            y.push(x.get(r, 0).max(x.get(r, 3)) + 0.5 * x.get(r, 7) * x.get(r, 11));
+        }
+        let data = Dataset::new(x, y);
+        let weights = |mlp: &Mlp| -> Vec<u32> {
+            let params = mlp
+                .layers
+                .iter()
+                .flat_map(|l| l.w.data().iter().chain(&l.b));
+            params.map(|v| v.to_bits()).collect()
+        };
+        for optimizer in [Optimizer::default(), Optimizer::Sgd { momentum: 0.9 }] {
+            let cfg = TrainConfig {
+                epochs: 3,
+                batch: 64,
+                lr: 1e-2,
+                optimizer,
+                seed: 5,
+                ..Default::default()
+            };
+            let start = Mlp::new(&[19, 24, 33, 1], 8);
+            let mut trained = start.clone();
+            trained.train(&data, &data, &cfg);
+
+            let mut reference = start;
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let mut opt = OptState::new(&reference, cfg.optimizer);
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            let mut lr = cfg.lr;
+            for _ in 0..cfg.epochs {
+                rand::seq::SliceRandom::shuffle(order.as_mut_slice(), &mut rng);
+                for chunk in order.chunks(cfg.batch) {
+                    step_reference(&mut reference, &data.subset(chunk), lr, &mut opt);
+                }
+                lr *= cfg.lr_decay;
+            }
+            assert_eq!(weights(&trained), weights(&reference), "{optimizer:?}");
+        }
     }
 
     #[test]
