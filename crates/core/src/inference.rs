@@ -177,6 +177,11 @@ pub struct StageBreakdown {
     pub topk_s: f64,
     /// Finalist re-benchmarking on the device model.
     pub rebench_s: f64,
+    /// Simulated device seconds the re-benchmark spent: every launch of
+    /// every finalist ([`Measurement::device_s`]), summed in rank order.
+    /// Device time, not host time, so it is not part of
+    /// [`StageBreakdown::total_s`].
+    pub device_s: f64,
     /// Candidates scored by the full model.
     pub scored_full: u64,
 }
@@ -627,7 +632,10 @@ fn infer_engine(
             bd.topk_s += mark.elapsed().as_secs_f64();
         }
 
-        // Re-benchmark the finalists; rank-ordered reduction.
+        // Re-benchmark the finalists; rank-ordered reduction. The
+        // parallel fan-out is a host-side convenience only: a real device
+        // times one kernel at a time, so the device seconds charged below
+        // add up serially whatever the fan-out.
         let mark = Instant::now();
         let ranked = &ranked_list[..];
         let bench_one = |r: usize| -> Option<(GemmConfig, f64, Measurement)> {
@@ -642,7 +650,9 @@ fn infer_engine(
             (0..ranked.len()).map(bench_one).collect()
         };
         let mut best: Option<TunedChoice> = None;
+        let mut device_s = 0.0;
         for (config, score, m) in measured.into_iter().flatten() {
+            device_s += m.device_s;
             if best.as_ref().is_none_or(|b| m.time_s < b.time_s) {
                 best = Some(TunedChoice {
                     config,
@@ -654,6 +664,7 @@ fn infer_engine(
         }
         if let Some(bd) = stages {
             bd.rebench_s += mark.elapsed().as_secs_f64();
+            bd.device_s += device_s;
         }
         best
     })
@@ -1179,6 +1190,96 @@ mod tests {
             min_keep: 0,
         };
         assert_eq!(degenerate.survivors(4_000, 0), 1);
+    }
+
+    /// An untrained model: the ledger must not depend on model quality.
+    fn random_bundle(features: usize, seed: u64) -> ModelBundle {
+        ModelBundle {
+            mlp: isaac_mlp::Mlp::with_hidden(features, &[16, 16], seed),
+            standardizer: isaac_mlp::Standardizer {
+                mean: vec![0.25; features],
+                std: vec![1.5; features],
+            },
+            y_mean: 3.0,
+            y_std: 0.75,
+        }
+    }
+
+    /// Device seconds of `RE_BENCH_REPS` launches of each of the `top_k`
+    /// best-scored candidates, summed per finalist and then over the
+    /// finalists in rank order, ranked and measured without the engine.
+    fn reference_device_s(
+        bundle: &ModelBundle,
+        candidates: &[GemmConfig],
+        features: impl Fn(&GemmConfig) -> Vec<f32>,
+        profile: impl Fn(&GemmConfig) -> isaac_device::KernelProfile,
+        profiler: &Profiler,
+        top_k: usize,
+    ) -> f64 {
+        let rows: Vec<Vec<f32>> = candidates.iter().map(features).collect();
+        let scores = bundle.predict_batch(&rows);
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
+        order.truncate(top_k);
+        let mut device_s = 0.0;
+        for i in order {
+            let p = profile(&candidates[i]);
+            let mut launches = 0.0;
+            for rep in 0..RE_BENCH_REPS {
+                launches += profiler.measure_rep(&p, rep).unwrap().time_s;
+            }
+            device_s += launches;
+        }
+        device_s
+    }
+
+    #[test]
+    fn staged_tunes_charge_every_finalist_launch() {
+        use crate::features::{gemm_features, sparse_features, GEMM_FEATURES, SPARSE_FEATURES};
+        let profiler = Profiler::new(tesla_p100(), 0x15AAC);
+        let spec = profiler.spec();
+        let top_k = 20;
+
+        let bundle = random_bundle(GEMM_FEATURES, 11);
+        let shape = GemmShape::new(512, 512, 512, "N", "T", DType::F32);
+        let want = reference_device_s(
+            &bundle,
+            &enumerate_legal_gemm(&shape, spec),
+            |cfg| gemm_features(&shape, cfg, true),
+            |cfg| gemm_profile(cfg, &shape, spec).unwrap(),
+            &profiler,
+            top_k,
+        );
+        let (choice, stages) = infer_gemm_staged(&bundle, &shape, &profiler, top_k, true);
+        let choice = choice.expect("a choice");
+        assert_eq!(stages.device_s.to_bits(), want.to_bits(), "gemm device_s");
+        assert!(stages.device_s >= (RE_BENCH_REPS * top_k as u64) as f64 * choice.time_s);
+
+        let bundle = random_bundle(SPARSE_FEATURES, 13);
+        let shape = SparseShape {
+            op: isaac_sparse::SparseOp::Symgs,
+            rows: 65_536,
+            nnz: 1_966_080,
+            row_mean_milli: 30_000,
+            row_cv_milli: 400,
+            row_max: 96,
+            bandwidth: 4_096,
+            block_density_milli: 120,
+            dtype: DType::F32,
+        };
+        let legal = enumerate_legal_sparse(&shape);
+        assert!(legal.len() > top_k);
+        let want = reference_device_s(
+            &bundle,
+            &legal,
+            |cfg| sparse_features(&shape, cfg, true),
+            |cfg| sparse_profile(cfg, &shape, spec).unwrap(),
+            &profiler,
+            top_k,
+        );
+        let (choice, stages) = infer_sparse_staged(&bundle, &shape, &profiler, top_k, true);
+        assert!(choice.is_some());
+        assert_eq!(stages.device_s.to_bits(), want.to_bits(), "sparse device_s");
     }
 
     #[test]

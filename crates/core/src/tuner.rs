@@ -1426,6 +1426,13 @@ impl TuneCache {
     }
 }
 
+/// The profiler a tuner trained with `seed` measures with, in training
+/// and in every re-benchmark after [`IsaacTuner::train`] or
+/// [`IsaacTuner::load`].
+fn tuner_profiler(spec: &DeviceSpec, seed: u64) -> Profiler {
+    Profiler::new(spec.clone(), seed ^ 0x15AAC)
+}
+
 /// Training options for a tuner instance.
 #[derive(Debug, Clone)]
 pub struct TrainOptions {
@@ -1521,7 +1528,7 @@ pub struct IsaacTuner {
 impl IsaacTuner {
     /// Run the full training pipeline on the given device.
     pub fn train(spec: DeviceSpec, kind: OpKind, opts: TrainOptions) -> Self {
-        let profiler = Profiler::new(spec.clone(), opts.seed ^ 0x15AAC);
+        let profiler = tuner_profiler(&spec, opts.seed);
         let dopts = DatasetOptions {
             samples: opts.samples,
             dtypes: opts.dtypes.clone(),
@@ -1928,21 +1935,31 @@ impl IsaacTuner {
         Ok(self.warm_start(&entries, top_k))
     }
 
-    /// Serialize the trained model (not the cache) to a file.
+    /// Serialize the trained model (not the cache) to a file. The header
+    /// carries every option a query reads -- `top_k`, the feature
+    /// encoding, the profiler seed and the cascade -- so a loaded tuner
+    /// serves the decisions the saved one would.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let cascade = match self.opts.cascade {
+            Some(c) => format!("{} {}", c.keep_frac, c.min_keep),
+            None => "none".to_string(),
+        };
         let mut text = format!(
-            "isaac-tuner {} {} topk {} log {}\n",
+            "isaac-tuner {} {} topk {} log {} seed {} cascade {cascade}\n",
             self.kind,
             self.spec.name.replace(' ', "_"),
             self.opts.top_k,
-            self.opts.log_features as u8
+            self.opts.log_features as u8,
+            self.opts.seed,
         );
         text.push_str(&isaac_mlp::io::to_text(&self.bundle));
         std::fs::write(path, text)
     }
 
     /// Load a model saved with [`IsaacTuner::save`]; `spec` must be the
-    /// same device it was trained on.
+    /// same device it was trained on. A header without `seed` and
+    /// `cascade` fields (written before they existed) loads with seed 0
+    /// and the default cascade.
     pub fn load(path: &Path, spec: DeviceSpec, kind: OpKind) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let mut lines = text.splitn(2, '\n');
@@ -1965,15 +1982,35 @@ impl IsaacTuner {
         let _device = fields.next();
         let top_k: usize = fields.nth(1).and_then(|t| t.parse().ok()).unwrap_or(50);
         let log_features = fields.nth(1).map(|t| t == "1").unwrap_or(true);
+        let seed: u64 = fields.nth(1).and_then(|t| t.parse().ok()).unwrap_or(0);
+        let cascade = match fields.nth(1) {
+            None => Some(CascadeConfig::default()),
+            Some("none") => None,
+            Some(frac) => {
+                let min = fields.next().unwrap_or_default();
+                let (Ok(keep_frac), Ok(min_keep)) = (frac.parse(), min.parse()) else {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bad cascade field `{frac} {min}`"),
+                    ));
+                };
+                Some(CascadeConfig {
+                    keep_frac,
+                    min_keep,
+                })
+            }
+        };
         let bundle = isaac_mlp::io::from_text(body)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let opts = TrainOptions {
             top_k,
             log_features,
+            cascade,
+            seed,
             ..Default::default()
         };
         Ok(IsaacTuner {
-            profiler: Profiler::new(spec.clone(), 0x15AAC),
+            profiler: tuner_profiler(&spec, seed),
             spec,
             kind,
             bundle,
@@ -2559,6 +2596,62 @@ mod tests {
         let b = loaded.tune_gemm(&shape).unwrap();
         assert_eq!(a.config, b.config);
         let _ = std::fs::remove_file(&dir);
+    }
+
+    /// A loaded tuner must query with the saved tuner's profiler seed and
+    /// cascade, not the defaults.
+    #[test]
+    fn load_keeps_seed_and_cascade() {
+        use crate::dataset::{random_conv_shape, random_gemm_shape};
+        let opts = TrainOptions {
+            seed: 7,
+            cascade: None,
+            ..quick_options()
+        };
+        let mut rng = StdRng::seed_from_u64(0x10AD);
+        for kind in [OpKind::Gemm, OpKind::Conv, OpKind::Sparse] {
+            let tuner = IsaacTuner::train(tesla_p100(), kind, opts.clone());
+            let path = std::env::temp_dir().join(format!("isaac_test_model_opts_{kind}.txt"));
+            tuner.save(&path).expect("save");
+            let loaded = IsaacTuner::load(&path, tesla_p100(), kind).expect("load");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(loaded.opts.seed, 7);
+            assert_eq!(loaded.opts.cascade, None);
+            for _ in 0..2 {
+                let shape = match kind {
+                    OpKind::Gemm => KeyShape::Gemm(random_gemm_shape(&mut rng, &[DType::F32])),
+                    OpKind::Conv => KeyShape::Conv(random_conv_shape(&mut rng, &[DType::F32])),
+                    OpKind::Sparse => {
+                        KeyShape::Sparse(isaac_sparse::random_sparse_shape(&mut rng, &[DType::F32]))
+                    }
+                };
+                assert_eq!(
+                    tuner.tune_shape_cold(&shape),
+                    loaded.tune_shape_cold(&shape),
+                    "{kind} {shape:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn old_headers_load_with_seed_zero_and_the_default_cascade() {
+        let tuner = IsaacTuner::train(tesla_p100(), OpKind::Gemm, quick_options());
+        let path = std::env::temp_dir().join("isaac_test_model_old_header.txt");
+        tuner.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (header, body) = text.split_once('\n').unwrap();
+        let old = header.split(" seed ").next().unwrap();
+        std::fs::write(&path, format!("{old}\n{body}")).unwrap();
+        let loaded = IsaacTuner::load(&path, tesla_p100(), OpKind::Gemm).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.opts.seed, 0);
+        assert_eq!(loaded.opts.cascade, Some(CascadeConfig::default()));
+        let shape = GemmShape::new(256, 64, 512, "N", "T", DType::F32);
+        assert_eq!(
+            tuner.tune_shape_cold(&KeyShape::Gemm(shape)),
+            loaded.tune_shape_cold(&KeyShape::Gemm(shape))
+        );
     }
 
     #[test]

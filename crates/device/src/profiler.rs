@@ -20,6 +20,10 @@ pub struct Measurement {
     pub tflops: f64,
     /// The underlying noise-free simulation report.
     pub report: SimReport,
+    /// Simulated device seconds spent producing this measurement: every
+    /// repetition's measured time, summed. A single repetition's is its
+    /// `time_s`.
+    pub device_s: f64,
 }
 
 /// A device plus a measurement-noise configuration.
@@ -78,6 +82,7 @@ impl Profiler {
             time_s,
             tflops: report.tflops / factor,
             report,
+            device_s: time_s,
         })
     }
 
@@ -88,19 +93,42 @@ impl Profiler {
 
     /// Measure `reps` times and return the best (lowest-time) measurement,
     /// the standard practice for benchmarking kernels.
+    ///
+    /// The device model is pure, so the kernel is simulated once and the
+    /// repetitions differ only in their seeded noise factor -- the result
+    /// is bit-identical to calling [`Profiler::measure_rep`] for each rep
+    /// and keeping the first strictly fastest.
     pub fn measure_best_of(
         &self,
         profile: &KernelProfile,
         reps: u64,
     ) -> Result<Measurement, SimError> {
-        let mut best: Option<Measurement> = None;
-        for rep in 0..reps.max(1) {
-            let m = self.measure_rep(profile, rep)?;
-            if best.as_ref().is_none_or(|b| m.time_s < b.time_s) {
-                best = Some(m);
+        let report = simulate(&self.spec, profile)?;
+        let stream = self.seed ^ hash_name(&profile.name);
+        let factor = |rep: u64| {
+            if self.sigma > 0.0 {
+                SplitMix64::new(stream ^ rep.wrapping_mul(0x9E37)).lognormal_factor(self.sigma)
+            } else {
+                1.0
+            }
+        };
+        let mut best_factor = factor(0);
+        let mut best_time = report.time_s * best_factor;
+        let mut device_s = best_time;
+        for rep in 1..reps.max(1) {
+            let f = factor(rep);
+            let time_s = report.time_s * f;
+            device_s += time_s;
+            if time_s < best_time {
+                (best_factor, best_time) = (f, time_s);
             }
         }
-        Ok(best.expect("reps >= 1"))
+        Ok(Measurement {
+            time_s: best_time,
+            tflops: report.tflops / best_factor,
+            report,
+            device_s,
+        })
     }
 }
 
@@ -180,6 +208,65 @@ mod tests {
         let single = p.measure_rep(&profile(), 0).unwrap();
         let best = p.measure_best_of(&profile(), 8).unwrap();
         assert!(best.time_s <= single.time_s);
+    }
+
+    /// The pre-single-simulation loop: one full `measure_rep` per rep,
+    /// keeping the first strictly fastest.
+    fn measure_best_of_reference(
+        p: &Profiler,
+        profile: &KernelProfile,
+        reps: u64,
+    ) -> Result<Measurement, SimError> {
+        let mut best: Option<Measurement> = None;
+        for rep in 0..reps.max(1) {
+            let m = p.measure_rep(profile, rep)?;
+            if best.as_ref().is_none_or(|b| m.time_s < b.time_s) {
+                best = Some(m);
+            }
+        }
+        Ok(best.expect("reps >= 1"))
+    }
+
+    #[test]
+    fn best_of_is_bit_identical_to_the_per_rep_loop() {
+        for sigma in [0.0, 0.03, 0.3] {
+            for seed in [0, 5, 0x15AAC] {
+                let p = Profiler::new(tesla_p100(), seed).with_sigma(sigma);
+                for reps in [0, 1, 2, 3, 8] {
+                    let mut prof = profile();
+                    for name in ["bench_me", "sgemm_nn_ml64x64_ms8x8_u8_k1.1.1_v4", ""] {
+                        prof.name = name.into();
+                        let fast = p.measure_best_of(&prof, reps).unwrap();
+                        let slow = measure_best_of_reference(&p, &prof, reps).unwrap();
+                        let at = format!("sigma {sigma} seed {seed} reps {reps} name {name:?}");
+                        assert_eq!(fast.time_s.to_bits(), slow.time_s.to_bits(), "{at}");
+                        assert_eq!(fast.tflops.to_bits(), slow.tflops.to_bits(), "{at}");
+                        assert_eq!(format!("{:?}", fast.report), format!("{:?}", slow.report));
+                        let ledger = (0..reps.max(1))
+                            .map(|rep| p.measure_rep(&prof, rep).unwrap().time_s)
+                            .fold(0.0, |sum, t| sum + t);
+                        assert_eq!(fast.device_s.to_bits(), ledger.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_of_reports_an_infeasible_profile_unchanged() {
+        let mut prof = profile();
+        prof.smem_per_block = 1 << 30;
+        let p = Profiler::new(tesla_p100(), 5);
+        let err = p.measure_best_of(&prof, 3).unwrap_err();
+        assert_eq!(err, measure_best_of_reference(&p, &prof, 3).unwrap_err());
+        assert_eq!(err, p.measure(&prof).unwrap_err());
+    }
+
+    #[test]
+    fn single_measurement_charges_its_own_time() {
+        let p = Profiler::new(tesla_p100(), 5);
+        let m = p.measure_rep(&profile(), 2).unwrap();
+        assert_eq!(m.device_s, m.time_s);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Tuning configurations: the *tuning parameters* of the search space.
 
 use crate::shapes::GemmShape;
+use std::fmt::Write;
 
 /// How out-of-tile bounds are enforced (the Section 8.3 ablation).
 ///
@@ -138,10 +139,18 @@ impl GemmConfig {
     /// Mangled kernel name for a shape, e.g.
     /// `sgemm_nt_ml64x64_ms8x8_u8_k1.1.1_v4`.
     pub fn name(&self, shape: &GemmShape) -> String {
-        format!(
+        let mut out = String::with_capacity(48);
+        self.write_name(shape, &mut out);
+        out
+    }
+
+    /// Append [`GemmConfig::name`] to `out`.
+    pub fn write_name(&self, shape: &GemmShape, out: &mut String) {
+        let _ = write!(
+            out,
             "{}gemm_{}_ml{}x{}_ms{}x{}_u{}_k{}.{}.{}_v{}",
             shape.dtype.blas_prefix(),
-            shape.layout().to_lowercase(),
+            shape.layout_tag(),
             self.ml,
             self.nl,
             self.ms,
@@ -151,7 +160,7 @@ impl GemmConfig {
             self.kl,
             self.kg,
             self.vec
-        )
+        );
     }
 
     /// The tuning-parameter vector in canonical order, used as model

@@ -81,9 +81,19 @@ pub fn conv_profile(
         &g,
         spec,
         Kind::Conv,
-        format!("{}_{}", shape.name(), cfg.name(&g)),
+        conv_kernel_name(cfg, shape, &g),
         unique,
     ))
+}
+
+/// A convolution kernel's name: the shape's name, then the name of the
+/// configuration on the equivalent GEMM `g`, written into one buffer.
+fn conv_kernel_name(cfg: &GemmConfig, shape: &ConvShape, g: &GemmShape) -> String {
+    let mut name = String::with_capacity(96);
+    shape.write_name(&mut name);
+    name.push('_');
+    cfg.write_name(g, &mut name);
+    name
 }
 
 fn build(
@@ -264,6 +274,127 @@ mod tests {
     fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// The `format!` name builders the buffer writers replaced.
+    fn gemm_shape_name_reference(s: &GemmShape) -> String {
+        format!(
+            "{}gemm_{}_{}x{}x{}",
+            s.dtype.blas_prefix(),
+            s.layout().to_lowercase(),
+            s.m,
+            s.n,
+            s.k
+        )
+    }
+
+    fn conv_shape_name_reference(s: &ConvShape) -> String {
+        format!(
+            "{}conv_n{}_c{}_k{}_{}x{}_r{}s{}",
+            s.dtype.blas_prefix(),
+            s.n,
+            s.c,
+            s.k,
+            s.p(),
+            s.q(),
+            s.r,
+            s.s
+        )
+    }
+
+    fn config_name_reference(c: &GemmConfig, s: &GemmShape) -> String {
+        format!(
+            "{}gemm_{}_ml{}x{}_ms{}x{}_u{}_k{}.{}.{}_v{}",
+            s.dtype.blas_prefix(),
+            s.layout().to_lowercase(),
+            c.ml,
+            c.nl,
+            c.ms,
+            c.ns,
+            c.u,
+            c.ks,
+            c.kl,
+            c.kg,
+            c.vec
+        )
+    }
+
+    /// Names seed the profiler's noise and appear in cache and WAL text,
+    /// so the buffer writers must match the old builders byte for byte.
+    #[test]
+    fn kernel_names_match_the_format_builders() {
+        let mut rng = StdRng::seed_from_u64(0x4E41_4D45);
+        let field = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+            0 => u32::MAX,
+            1 => rng.gen_range(0..10u32),
+            _ => rng.gen_range(0..100_000u32),
+        };
+        for round in 0..400 {
+            let dtype = DType::ALL[round % 3];
+            let (ta, tb) = ["N", "T"]
+                .iter()
+                .flat_map(|a| ["N", "T"].map(|b| (*a, b)))
+                .nth(round / 3 % 4)
+                .unwrap();
+            let gemm = GemmShape::new(
+                field(&mut rng),
+                field(&mut rng),
+                field(&mut rng),
+                ta,
+                tb,
+                dtype,
+            );
+            assert_eq!(gemm.name(), gemm_shape_name_reference(&gemm));
+            let (r, s) = (field(&mut rng).max(1), field(&mut rng).max(1));
+            let conv = ConvShape {
+                n: field(&mut rng),
+                c: field(&mut rng),
+                h: r.max(field(&mut rng)),
+                w: s.max(field(&mut rng)),
+                k: field(&mut rng),
+                r,
+                s,
+                dtype,
+            };
+            assert_eq!(conv.name(), conv_shape_name_reference(&conv));
+            let cfg = GemmConfig {
+                ms: field(&mut rng),
+                ns: field(&mut rng),
+                ml: field(&mut rng),
+                nl: field(&mut rng),
+                u: field(&mut rng),
+                ks: field(&mut rng),
+                kl: field(&mut rng),
+                kg: field(&mut rng),
+                vec: field(&mut rng),
+                ..Default::default()
+            };
+            assert_eq!(cfg.name(&gemm), config_name_reference(&cfg, &gemm));
+            let g = GemmShape {
+                trans_b: round % 2 == 1,
+                ..gemm
+            };
+            assert_eq!(
+                conv_kernel_name(&cfg, &conv, &g),
+                format!("{}_{}", conv.name(), cfg.name(&g))
+            );
+        }
+        // A rectangular-filter CONV through the real profile builder.
+        let conv = ConvShape::from_output(8, 13, 17, 64, 32, 3, 5, DType::F32);
+        let cfg = crate::conv::legal_class(&conv, &tesla_p100())
+            .configs()
+            .next()
+            .expect("a legal config");
+        let p = conv_profile(&cfg, &conv, &tesla_p100()).unwrap();
+        let g = equivalent_gemm(&conv);
+        assert_eq!(
+            p.name,
+            format!(
+                "{}_{}",
+                conv_shape_name_reference(&conv),
+                config_name_reference(&cfg, &g)
+            )
+        );
     }
 
     /// The analytic instruction mix must agree with the VM's dynamic

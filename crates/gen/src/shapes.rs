@@ -7,6 +7,7 @@
 //! indirection table.
 
 use isaac_device::DType;
+use std::fmt::Write;
 
 /// A GEMM problem: `C = op(A) op(B)` with column-major storage (BLAS
 /// convention, which cuBLAS uses).
@@ -86,16 +87,34 @@ impl GemmShape {
         format!("{}{}", c(self.trans_a), c(self.trans_b))
     }
 
+    /// Lower-case layout tag for mangled names, e.g. `"nt"`.
+    pub(crate) fn layout_tag(&self) -> &'static str {
+        match (self.trans_a, self.trans_b) {
+            (false, false) => "nn",
+            (false, true) => "nt",
+            (true, false) => "tn",
+            (true, true) => "tt",
+        }
+    }
+
     /// Mangled short name, e.g. `sgemm_nt_2048x2048x2048`.
     pub fn name(&self) -> String {
-        format!(
+        let mut out = String::with_capacity(40);
+        self.write_name(&mut out);
+        out
+    }
+
+    /// Append [`GemmShape::name`] to `out`.
+    pub fn write_name(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{}gemm_{}_{}x{}x{}",
             self.dtype.blas_prefix(),
-            self.layout().to_lowercase(),
+            self.layout_tag(),
             self.m,
             self.n,
             self.k
-        )
+        );
     }
 }
 
@@ -208,7 +227,15 @@ impl ConvShape {
 
     /// Mangled short name, e.g. `sconv_n16_c32_k64_14x14_r3s3`.
     pub fn name(&self) -> String {
-        format!(
+        let mut out = String::with_capacity(48);
+        self.write_name(&mut out);
+        out
+    }
+
+    /// Append [`ConvShape::name`] to `out`.
+    pub fn write_name(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{}conv_n{}_c{}_k{}_{}x{}_r{}s{}",
             self.dtype.blas_prefix(),
             self.n,
@@ -218,7 +245,7 @@ impl ConvShape {
             self.q(),
             self.r,
             self.s
-        )
+        );
     }
 }
 

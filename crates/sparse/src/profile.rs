@@ -15,6 +15,7 @@ use crate::shape::{SparseOp, SparseShape};
 use crate::space;
 use isaac_device::{DeviceSpec, InstrMix, KernelProfile, Launch, MemoryFootprint};
 use isaac_gen::{ConfigIssue, GemmConfig};
+use std::fmt::Write;
 
 /// Threads per block for every sparse kernel (memory-bound kernels get
 /// small blocks so the scheduler can spread them across SMs).
@@ -44,6 +45,15 @@ fn gather_sharing(shape: &SparseShape, ds: f64) -> f64 {
     let band_share = elems_per_sector * (shape.row_mean() / band_window).min(1.0);
     let block_share = 16.0 * shape.block_density();
     band_share.max(block_share).clamp(1.0, elems_per_sector)
+}
+
+/// A sparse kernel's name: the shape's name, then the row block, unroll,
+/// split and vector width, written into one buffer.
+fn kernel_name(cfg: &GemmConfig, shape: &SparseShape) -> String {
+    let mut name = String::with_capacity(80);
+    shape.write_name(&mut name);
+    let _ = write!(name, "_rb{}_u{}_s{}_v{}", cfg.ms, cfg.u, cfg.ks, cfg.vec);
+    name
 }
 
 /// Analytical profile of a sparse kernel.
@@ -108,14 +118,7 @@ pub fn sparse_profile(
 
     let grid_x = (shape.rows as u64).div_ceil(BLOCK_THREADS as u64 * cfg.ms as u64) as u32;
     Ok(KernelProfile {
-        name: format!(
-            "{}_rb{}_u{}_s{}_v{}",
-            shape.name(),
-            cfg.ms,
-            cfg.u,
-            cfg.ks,
-            cfg.vec
-        ),
+        name: kernel_name(cfg, shape),
         launch: Launch {
             grid: [grid_x.max(1), 1, 1],
             block_threads: BLOCK_THREADS,
@@ -150,6 +153,8 @@ mod tests {
     use crate::shape::SparseShape;
     use isaac_device::specs::{gtx980ti, tesla_p100};
     use isaac_device::{simulate, DType};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn shape(op: SparseOp) -> SparseShape {
         SparseShape {
@@ -163,6 +168,79 @@ mod tests {
             block_density_milli: 120,
             dtype: DType::F32,
         }
+    }
+
+    /// The `format!` name builders the buffer writers replaced.
+    fn shape_name_reference(s: &SparseShape) -> String {
+        format!(
+            "{}{}_r{}_z{}_m{}_c{}_x{}_b{}_d{}",
+            s.dtype.blas_prefix(),
+            s.op.tag(),
+            s.rows,
+            s.nnz,
+            s.row_mean_milli,
+            s.row_cv_milli,
+            s.row_max,
+            s.bandwidth,
+            s.block_density_milli,
+        )
+    }
+
+    fn kernel_name_reference(cfg: &GemmConfig, s: &SparseShape) -> String {
+        format!(
+            "{}_rb{}_u{}_s{}_v{}",
+            shape_name_reference(s),
+            cfg.ms,
+            cfg.u,
+            cfg.ks,
+            cfg.vec
+        )
+    }
+
+    /// Names seed the profiler's noise and appear in cache and WAL text,
+    /// so the buffer writers must match the old builders byte for byte.
+    #[test]
+    fn kernel_names_match_the_format_builders() {
+        let mut rng = StdRng::seed_from_u64(0x5350_4E4D);
+        let field = |rng: &mut StdRng| match rng.gen_range(0..4u32) {
+            0 => u32::MAX,
+            1 => rng.gen_range(0..10u32),
+            _ => rng.gen_range(0..2_000_000u32),
+        };
+        for round in 0..300 {
+            let s = SparseShape {
+                op: SparseOp::ALL[round % 3],
+                rows: field(&mut rng),
+                nnz: field(&mut rng),
+                row_mean_milli: field(&mut rng),
+                row_cv_milli: field(&mut rng),
+                row_max: field(&mut rng),
+                bandwidth: field(&mut rng),
+                block_density_milli: field(&mut rng),
+                dtype: DType::ALL[round / 3 % 3],
+            };
+            assert_eq!(s.name(), shape_name_reference(&s));
+            let cfg = GemmConfig {
+                ms: field(&mut rng),
+                u: field(&mut rng),
+                ks: field(&mut rng),
+                vec: field(&mut rng),
+                ..GemmConfig::default()
+            };
+            assert_eq!(kernel_name(&cfg, &s), kernel_name_reference(&cfg, &s));
+        }
+        // Every legal point of every op, through the real profile builder.
+        let mut legal = 0;
+        for op in SparseOp::ALL {
+            let s = shape(op);
+            for cfg in crate::space_table() {
+                if let Ok(p) = sparse_profile(cfg, &s, &tesla_p100()) {
+                    assert_eq!(p.name, kernel_name_reference(cfg, &s));
+                    legal += 1;
+                }
+            }
+        }
+        assert!(legal > 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::csr::Csr;
 use isaac_device::DType;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt::Write;
 
 /// Which sparse operation a shape describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -132,7 +133,15 @@ impl SparseShape {
     /// Mangled short name, e.g.
     /// `sspmv_r4096_z81920_m20000_c500_x64_b128_d250`.
     pub fn name(&self) -> String {
-        format!(
+        let mut out = String::with_capacity(64);
+        self.write_name(&mut out);
+        out
+    }
+
+    /// Append [`SparseShape::name`] to `out`.
+    pub fn write_name(&self, out: &mut String) {
+        let _ = write!(
+            out,
             "{}{}_r{}_z{}_m{}_c{}_x{}_b{}_d{}",
             self.dtype.blas_prefix(),
             self.op.tag(),
@@ -143,7 +152,7 @@ impl SparseShape {
             self.row_max,
             self.bandwidth,
             self.block_density_milli,
-        )
+        );
     }
 
     /// Parse the body of a mangled name (everything after the dtype
