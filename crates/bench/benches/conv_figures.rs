@@ -13,8 +13,8 @@ use isaac_baselines::CudnnLike;
 use isaac_bench::harness::cached_tuner;
 use isaac_bench::report::{fmt_speedup, fmt_tflops, Table};
 use isaac_bench::workloads::table5;
+use isaac_core::enumerate_legal_conv;
 use isaac_core::features::conv_features;
-use isaac_core::inference::enumerate_legal_conv;
 use isaac_core::OpKind;
 use isaac_device::specs::{gtx980ti, tesla_p100};
 use isaac_device::{DType, DeviceSpec};

@@ -4,10 +4,11 @@
 //! parallel-inference PR:
 //!
 //! * **cold serial** -- the engine with the rayon fan-out disabled
-//!   (`infer_gemm_serial`), the pre-parallelism baseline;
-//! * **cold parallel** -- the full engine (`infer_gemm`): chunked
-//!   legality + in-place features + batched MLP across all cores;
-//! * **cached** -- repeated `IsaacTuner::tune_gemm` hits against the
+//!   (`infer` with `parallel: false`), the pre-parallelism baseline;
+//! * **cold parallel** -- the full engine (`infer` with `parallel:
+//!   true`): chunked legality + in-place features + batched MLP across
+//!   all cores;
+//! * **cached** -- repeated `IsaacTuner::tune_shape` hits against the
 //!   shape-keyed tune cache.
 //!
 //! Results are printed as a table and written to `BENCH_inference.json`
@@ -18,8 +19,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use isaac_bench::harness::env_usize;
 use isaac_bench::report::{bench_json_path, write_json, Table};
-use isaac_core::inference::{infer_gemm, infer_gemm_serial, infer_gemm_staged, StageBreakdown};
-use isaac_core::{engine_stats, CascadeConfig, InferOptions, IsaacTuner, OpKind, TrainOptions};
+use isaac_core::inference::{infer, infer_staged, StageBreakdown};
+use isaac_core::{
+    engine_stats, CascadeConfig, InferOptions, IsaacTuner, KeyShape, OpKind, TrainOptions,
+};
 use isaac_device::specs::tesla_p100;
 use isaac_device::{DType, Profiler};
 use isaac_gen::shapes::GemmShape;
@@ -30,11 +33,11 @@ use std::time::Instant;
 
 /// Query mix: square (LINPACK), skinny (DeepBench RNN), deep-reduction
 /// (ICA covariance) -- the paper's three GEMM regimes.
-fn query_shapes() -> Vec<GemmShape> {
+fn query_shapes() -> Vec<KeyShape> {
     vec![
-        GemmShape::new(1024, 1024, 1024, "N", "T", DType::F32),
-        GemmShape::new(2560, 16, 2560, "N", "N", DType::F32),
-        GemmShape::new(32, 32, 60000, "T", "N", DType::F32),
+        KeyShape::Gemm(GemmShape::new(1024, 1024, 1024, "N", "T", DType::F32)),
+        KeyShape::Gemm(GemmShape::new(2560, 16, 2560, "N", "N", DType::F32)),
+        KeyShape::Gemm(GemmShape::new(32, 32, 60000, "T", "N", DType::F32)),
     ]
 }
 
@@ -70,33 +73,37 @@ fn inference_throughput(c: &mut Criterion) {
     let profiler = Profiler::new(tesla_p100(), 0x15AAC);
     let shapes = query_shapes();
     let top_k = 50;
+    let opts = |parallel, cascade| InferOptions {
+        top_k,
+        log_features: true,
+        parallel,
+        cascade,
+    };
+    let (serial_opts, parallel_opts) = (opts(false, None), opts(true, None));
+    // Coarse-to-fine cascade (the TrainOptions default).
+    let cascade_opts = opts(true, Some(CascadeConfig::default()));
+    let cold_s = |opts: &InferOptions| {
+        shapes
+            .iter()
+            .map(|s| {
+                secs_per_query(|| {
+                    black_box(infer(&bundle, s, &profiler, opts));
+                })
+            })
+            .sum::<f64>()
+            / shapes.len() as f64
+    };
 
     // Cold path: serial reference vs. parallel engine, averaged over the
     // query mix.
-    let cold_serial: f64 = shapes
-        .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(infer_gemm_serial(&bundle, s, &profiler, top_k, true));
-            })
-        })
-        .sum::<f64>()
-        / shapes.len() as f64;
-    let cold_parallel: f64 = shapes
-        .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(infer_gemm(&bundle, s, &profiler, top_k, true));
-            })
-        })
-        .sum::<f64>()
-        / shapes.len() as f64;
+    let cold_serial = cold_s(&serial_opts);
+    let cold_parallel = cold_s(&parallel_opts);
 
     // Stage breakdown of the serial cold path, averaged over the mix:
     // where does cold-tune time go? (Same arithmetic as `cold serial`.)
     let mut stages = StageBreakdown::default();
     for s in &shapes {
-        let (_, bd) = infer_gemm_staged(&bundle, s, &profiler, top_k, true);
+        let (_, bd) = infer_staged(&bundle, s, &profiler, top_k, true);
         stages.legality_s += bd.legality_s;
         stages.features_s += bd.features_s;
         stages.predict_s += bd.predict_s;
@@ -113,36 +120,13 @@ fn inference_throughput(c: &mut Criterion) {
     // truncation).
     stages.scored_full /= shapes.len() as u64;
 
-    // Coarse-to-fine cascade (the TrainOptions default since PR 4):
-    // cold latency with the cheap pass pruning the candidate set, plus
-    // the quality guard -- the final re-benchmarked choice must match
-    // the exhaustive path on every shape in the mix.
-    let cascade_opts = InferOptions {
-        top_k,
-        log_features: true,
-        parallel: true,
-        cascade: Some(CascadeConfig::default()),
-    };
-    let mut cascade_matches = true;
-    for s in &shapes {
-        let exhaustive = infer_gemm(&bundle, s, &profiler, top_k, true);
-        let cascaded = isaac_core::infer_gemm_opts(&bundle, s, &profiler, &cascade_opts);
-        cascade_matches &= exhaustive == cascaded;
-    }
-    let cold_cascade: f64 = shapes
-        .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(isaac_core::infer_gemm_opts(
-                    &bundle,
-                    s,
-                    &profiler,
-                    &cascade_opts,
-                ));
-            })
-        })
-        .sum::<f64>()
-        / shapes.len() as f64;
+    // Cascade: cold latency with the cheap pass pruning the candidate
+    // set, plus the quality guard -- the final re-benchmarked choice
+    // must match the exhaustive path on every shape in the mix.
+    let cascade_matches = shapes.iter().all(|s| {
+        infer(&bundle, s, &profiler, &parallel_opts) == infer(&bundle, s, &profiler, &cascade_opts)
+    });
+    let cold_cascade = cold_s(&cascade_opts);
 
     // Cached path: a trained tuner serving repeat queries.
     let tuner = IsaacTuner::train(
@@ -156,14 +140,14 @@ fn inference_throughput(c: &mut Criterion) {
         },
     );
     for s in &shapes {
-        tuner.tune_gemm(s); // populate the cache
+        tuner.tune_shape(s); // populate the cache
     }
     let shape = shapes[0];
     let cached = {
         let start = Instant::now();
         let reps = 200_000u32;
         for _ in 0..reps {
-            black_box(tuner.tune_gemm(black_box(&shape)));
+            black_box(tuner.tune_shape(black_box(&shape)));
         }
         start.elapsed().as_secs_f64() / f64::from(reps)
     };
@@ -275,7 +259,7 @@ fn inference_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference");
     group.sample_size(10);
     group.bench_function("cached_tune_gemm", |b| {
-        b.iter(|| black_box(tuner.tune_gemm(black_box(&shape))))
+        b.iter(|| black_box(tuner.tune_shape(black_box(&shape))))
     });
     group.finish();
 }

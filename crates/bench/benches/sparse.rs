@@ -3,11 +3,12 @@
 //!
 //! Mirrors `benches/inference.rs` for the sparse subsystem:
 //!
-//! * **cold serial** -- `infer_sparse_serial`, the single-thread engine;
-//! * **cold parallel** -- `infer_sparse`: the full fan-out over the
-//!   sparse tuning space;
-//! * **cold cascade** -- `infer_sparse_opts` with the coarse-to-fine
-//!   cascade, plus a quality guard: the cascaded choice must match the
+//! * **cold serial** -- `infer` with `parallel: false`, the
+//!   single-thread engine;
+//! * **cold parallel** -- `infer` with `parallel: true`: the full
+//!   fan-out over the sparse tuning space;
+//! * **cold cascade** -- `infer` with the coarse-to-fine cascade, plus
+//!   a quality guard: the cascaded choice must match the
 //!   exhaustive path on every matrix in the mix
 //!   (`sparse_choice_matches_exhaustive`, gated `>= 1` in CI);
 //! * **cached** -- repeated `IsaacTuner::tune_sparse` hits against the
@@ -23,9 +24,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use isaac_bench::harness::env_usize;
 use isaac_bench::report::{bench_json_path, write_json, Table};
 use isaac_core::{
-    infer_sparse, infer_sparse_opts, infer_sparse_serial, sparse_csr, sparse_kernels,
-    sparse_space_size, CascadeConfig, Csr, InferOptions, IsaacTuner, OpKind, SparseOp, SparseShape,
-    TrainOptions,
+    infer, sparse_csr, sparse_kernels, sparse_space_size, CascadeConfig, Csr, InferOptions,
+    IsaacTuner, KeyShape, OpKind, SparseOp, SparseShape, TrainOptions,
 };
 use isaac_device::specs::tesla_p100;
 use isaac_device::{DType, Profiler};
@@ -94,53 +94,43 @@ fn sparse_throughput(c: &mut Criterion) {
         .iter()
         .map(|(_, op, a)| SparseShape::from_csr(*op, a, DType::F32))
         .collect();
+    let keys: Vec<KeyShape> = shapes.iter().map(|s| KeyShape::Sparse(*s)).collect();
     let top_k = 50;
+    let opts = |parallel, cascade| InferOptions {
+        top_k,
+        log_features: true,
+        parallel,
+        cascade,
+    };
+    let (serial_opts, parallel_opts) = (opts(false, None), opts(true, None));
+    let cascade_opts = opts(true, Some(CascadeConfig::default()));
+    let cold_s = |opts: &InferOptions| {
+        keys.iter()
+            .map(|s| {
+                secs_per_query(|| {
+                    black_box(infer(&bundle, s, &profiler, opts));
+                })
+            })
+            .sum::<f64>()
+            / keys.len() as f64
+    };
 
     // Cold path: serial reference vs. parallel engine, averaged over the
     // matrix mix.
-    let cold_serial: f64 = shapes
-        .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(infer_sparse_serial(&bundle, s, &profiler, top_k, true));
-            })
-        })
-        .sum::<f64>()
-        / shapes.len() as f64;
-    let cold_parallel: f64 = shapes
-        .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(infer_sparse(&bundle, s, &profiler, top_k, true));
-            })
-        })
-        .sum::<f64>()
-        / shapes.len() as f64;
+    let cold_serial = cold_s(&serial_opts);
+    let cold_parallel = cold_s(&parallel_opts);
 
     // Cascade quality guard: the cascaded choice must agree with the
     // exhaustive sweep on every matrix in the mix. CI gates the match
     // count at >= 1; the goal is all of them.
-    let cascade_opts = InferOptions {
-        top_k,
-        log_features: true,
-        parallel: true,
-        cascade: Some(CascadeConfig::default()),
-    };
-    let mut choice_matches = 0usize;
-    for s in &shapes {
-        let exhaustive = infer_sparse(&bundle, s, &profiler, top_k, true);
-        let cascaded = infer_sparse_opts(&bundle, s, &profiler, &cascade_opts);
-        choice_matches += usize::from(exhaustive == cascaded);
-    }
-    let cold_cascade: f64 = shapes
+    let choice_matches = keys
         .iter()
-        .map(|s| {
-            secs_per_query(|| {
-                black_box(infer_sparse_opts(&bundle, s, &profiler, &cascade_opts));
-            })
+        .filter(|s| {
+            infer(&bundle, s, &profiler, &parallel_opts)
+                == infer(&bundle, s, &profiler, &cascade_opts)
         })
-        .sum::<f64>()
-        / shapes.len() as f64;
+        .count();
+    let cold_cascade = cold_s(&cascade_opts);
 
     // Cached path: a trained sparse tuner serving repeat queries for a
     // structure it has already decided.

@@ -8,6 +8,12 @@
 //! top-k candidates for re-benchmarking on the "target device" to smooth
 //! out model noise.
 //!
+//! The pipeline below is written once, over any [`KeyShape`]: [`infer`]
+//! runs it, [`infer_staged`] times it, and [`rebench`] re-measures one
+//! configuration. What differs per operation -- the legal candidates,
+//! the input-shape features, the legality check and the analytical
+//! profile -- comes from the shape's op family (`crate::ops`).
+//!
 //! ## The staged pipeline
 //!
 //! A cold tune touches only the *legal* rows of the space, in fixed-size
@@ -52,9 +58,9 @@
 //! 0.34 ms (6 %), re-benchmark 0.05 ms (1 %) -- 5.8 ms in all. The
 //! kernels it replaced took 5.5 and 8.5 ms here (14.6 ms in all).
 //!
-//! [`StageBreakdown`] (from [`infer_gemm_staged`], which runs the
-//! exhaustive serial reference) reports where that path's time goes,
-//! stage by stage; `benchmark/`'s traced run publishes it.
+//! [`StageBreakdown`] (from [`infer_staged`], which runs the exhaustive
+//! serial reference) reports where that path's time goes, stage by
+//! stage; `benchmark/`'s traced run publishes it.
 //!
 //! Determinism: every per-candidate computation is a pure function of the
 //! candidate (the profiler's noise is seeded by kernel name and
@@ -64,9 +70,9 @@
 //! threads, for any block size or instruction set, with or without the
 //! cascade (the cascade's survivor cut is a total order over `(score,
 //! position)`, and list position order is space index order).
-//! [`infer_gemm_serial`] runs the identical arithmetic without the
-//! fan-out and is used by tests and the bench harness as the reference
-//! and the pre-parallelism baseline.
+//! [`infer`] with `parallel: false` runs the identical arithmetic
+//! without the fan-out and is used by tests and the bench harness as the
+//! reference and the pre-parallelism baseline.
 //!
 //! Steady-state queries make **zero per-candidate allocations**: the
 //! scoring kernel's tiles and the candidate lists live in a
@@ -76,19 +82,15 @@
 //! transient result buffers from the fan-out's `collect`, independent of
 //! the per-candidate work.
 
-use crate::features::{
-    conv_shape_features_into, gemm_shape_features_into, sparse_shape_features_into,
-    CONV_INPUT_FEATURES, GEMM_INPUT_FEATURES, SPARSE_INPUT_FEATURES, TUNING_FEATURES,
-};
-use isaac_device::{DeviceSpec, Measurement, Profiler};
+use crate::features::TUNING_FEATURES;
+use crate::ops::family;
+use crate::tuner::KeyShape;
+use isaac_device::{Measurement, Profiler};
 use isaac_gen::legality::LegalClass;
-use isaac_gen::profile::{conv_profile, gemm_profile};
 use isaac_gen::shapes::{ConvShape, GemmShape};
 use isaac_gen::GemmConfig;
 use isaac_mlp::io::{ModelBundle, QueryPrefix};
 use isaac_mlp::Pass;
-use isaac_sparse::profile::sparse_profile;
-use isaac_sparse::SparseShape;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -158,10 +160,9 @@ impl CascadeConfig {
 }
 
 /// Per-stage wall-clock breakdown of one serial cold tune, from
-/// [`infer_gemm_staged`] / [`infer_conv_staged`]. Published in
-/// `BENCH_inference.json` (fields `features_s`, `predict_s`, `topk_s`,
-/// `rebench_s`, plus `legality_s`) so successive PRs can see *where*
-/// cold-tune time goes.
+/// [`infer_staged`]. Published in `BENCH_inference.json` (fields
+/// `features_s`, `predict_s`, `topk_s`, `rebench_s`, plus
+/// `legality_s`) so successive PRs can see *where* cold-tune time goes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBreakdown {
     /// Legality class lookup (including the class build, on first use);
@@ -193,8 +194,8 @@ impl StageBreakdown {
     }
 }
 
-/// Everything that parameterizes one engine run besides the operation
-/// closures: re-bench width, feature encoding, fan-out and cascade.
+/// Everything that parameterizes one engine run besides the model and
+/// the shape: re-bench width, feature encoding, fan-out and cascade.
 #[derive(Debug, Clone, Default)]
 pub struct InferOptions {
     /// Finalists re-benchmarked after the model search.
@@ -209,141 +210,6 @@ pub struct InferOptions {
 }
 
 pub use isaac_gen::legality::space_iter;
-
-/// All configurations legal for `shape` on `spec`, in space order.
-pub fn enumerate_legal_gemm(shape: &GemmShape, spec: &DeviceSpec) -> Vec<GemmConfig> {
-    isaac_gen::legality::legal_class(shape, spec)
-        .configs()
-        .collect()
-}
-
-/// All configurations legal for a convolution, in space order.
-pub fn enumerate_legal_conv(shape: &ConvShape, spec: &DeviceSpec) -> Vec<GemmConfig> {
-    isaac_gen::conv::legal_class(shape, spec)
-        .configs()
-        .collect()
-}
-
-/// All sparse configurations legal for the input structure `shape`, in
-/// sparse-space order (sparse legality is input-dependent, not
-/// device-dependent).
-pub fn enumerate_legal_sparse(shape: &SparseShape) -> Vec<GemmConfig> {
-    isaac_sparse::space_table()
-        .iter()
-        .filter(|cfg| isaac_sparse::space::check(cfg, shape).is_ok())
-        .copied()
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Model-free heuristic fallback (degraded mode)
-// ---------------------------------------------------------------------------
-
-/// Model-free fallback choice for a GEMM shape: the largest-legal-tile
-/// rule over the legality table. No MLP, no re-benchmarking -- just the
-/// classic static heuristic the paper's input-aware model is measured
-/// against, kept around so a sick serving shard can always answer.
-///
-/// Deterministic: the candidate sweep is a fixed preference order
-/// (largest macro-tile area first, then the widest micro-tile / unroll /
-/// vector width), so the same shape on the same device always yields the
-/// same configuration. Returns `None` only when *no* configuration in
-/// the space is legal for the shape.
-///
-/// The returned [`TunedChoice`] carries zeroed model/measurement fields
-/// (`predicted_gflops == tflops == 0.0`): it is a placeholder decision,
-/// not an authoritative tune, and callers (the serving layer's degraded
-/// mode) must not persist it as one.
-pub fn heuristic_gemm(shape: &GemmShape, spec: &DeviceSpec) -> Option<TunedChoice> {
-    heuristic_choice(
-        |cfg| isaac_gen::legality::check(cfg, shape, spec).is_ok(),
-        || isaac_gen::legality::legal_class(shape, spec),
-    )
-}
-
-/// Model-free fallback choice for a convolution, via its implicit-GEMM
-/// view. Same largest-legal-tile rule and determinism as
-/// [`heuristic_gemm`].
-pub fn heuristic_conv(shape: &ConvShape, spec: &DeviceSpec) -> Option<TunedChoice> {
-    heuristic_choice(
-        |cfg| isaac_gen::conv::check(cfg, shape, spec).is_ok(),
-        || isaac_gen::conv::legal_class(shape, spec),
-    )
-}
-
-/// Model-free fallback choice for a sparse input: the scalar
-/// one-row-per-thread kernel (`isaac_sparse::space::heuristic_config`),
-/// which is legal for every operation and structure -- the classic
-/// structure-oblivious CSR baseline the input-aware model is measured
-/// against. Falls back to a sparse-space scan for defensive totality.
-pub fn heuristic_sparse(shape: &SparseShape) -> Option<TunedChoice> {
-    let cfg = isaac_sparse::space::heuristic_config();
-    if isaac_sparse::space::check(&cfg, shape).is_ok() {
-        return Some(fallback_choice(cfg));
-    }
-    isaac_sparse::space_table()
-        .iter()
-        .find(|cfg| isaac_sparse::space::check(cfg, shape).is_ok())
-        .map(|cfg| fallback_choice(*cfg))
-}
-
-/// Shared sweep for the heuristic fallback: try a small, preference-
-/// ordered candidate list (big tiles first), then fall back to the first
-/// member of the shape's legality class if none of the preferred shapes
-/// are legal. The bounded sweep keeps the degraded path O(hundreds) of
-/// legality checks, and the last resort a memoized lookup.
-fn heuristic_choice(
-    legal: impl Fn(&GemmConfig) -> bool,
-    class: impl FnOnce() -> LegalClass,
-) -> Option<TunedChoice> {
-    // Macro-tile pairs from {128,64,32,16}^2, largest area first (ties:
-    // taller `ml` first -- row-major access favors the M dimension).
-    let lengths = [128u32, 64, 32, 16];
-    let mut tiles: Vec<(u32, u32)> = Vec::with_capacity(16);
-    for &ml in &lengths {
-        for &nl in &lengths {
-            tiles.push((ml, nl));
-        }
-    }
-    tiles.sort_by_key(|&(ml, nl)| (std::cmp::Reverse(ml * nl), std::cmp::Reverse(ml)));
-
-    for (ml, nl) in tiles {
-        for (ms, ns) in [(8u32, 8u32), (4, 4), (2, 2), (1, 1)] {
-            for u in [8u32, 4, 2, 1] {
-                for vec in [4u32, 2, 1] {
-                    let cfg = GemmConfig {
-                        ms,
-                        ns,
-                        ml,
-                        nl,
-                        u,
-                        ks: 1,
-                        kl: 1,
-                        kg: 1,
-                        vec,
-                        ..GemmConfig::default()
-                    };
-                    if legal(&cfg) {
-                        return Some(fallback_choice(cfg));
-                    }
-                }
-            }
-        }
-    }
-    // Degenerate shapes (tiny or oddly-aligned inputs) can reject every
-    // preferred candidate: take the first legal configuration in index
-    // order so the fallback is total whenever *any* exists.
-    class().configs().next().map(fallback_choice)
-}
-
-fn fallback_choice(config: GemmConfig) -> TunedChoice {
-    TunedChoice {
-        config,
-        predicted_gflops: 0.0,
-        tflops: 0.0,
-        time_s: 0.0,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Scratch pool
@@ -433,42 +299,61 @@ fn rank_cmp(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
 /// One query's legal candidates, in space order: their space indices,
 /// the aligned encoded tuning-feature rows, and the family's index
 /// decoder. The engine names a candidate by its *position* in these
-/// lists and decodes only the finalists.
-struct Candidates<'a> {
-    idx: &'a [u32],
-    rows: &'a [[f32; TUNING_FEATURES]],
+/// lists and decodes only the finalists. Built by
+/// [`OpFamily::candidates`](crate::ops::OpFamily::candidates).
+pub(crate) struct Candidates {
+    lists: Lists,
     decode: fn(usize) -> GemmConfig,
 }
 
-impl<'a> Candidates<'a> {
-    /// The members of a dense (GEMM / CONV) legality class.
-    fn dense(class: &'a LegalClass, log_features: bool) -> Self {
+enum Lists {
+    /// A memoized dense legality class, read with one feature encoding.
+    Class(LegalClass, bool),
+    /// Lists built for one query.
+    Owned(Vec<u32>, Vec<[f32; TUNING_FEATURES]>),
+}
+
+impl Candidates {
+    /// The members of a dense (GEMM / CONV) legality class, encoding
+    /// the class's feature rows on first use.
+    pub(crate) fn dense(class: LegalClass, log_features: bool) -> Self {
+        class.feature_rows(log_features);
         Candidates {
-            idx: class.indices(),
-            rows: class.feature_rows(log_features),
+            lists: Lists::Class(class, log_features),
             decode: isaac_gen::legality::decode,
         }
     }
 
-    fn config(&self, pos: u32) -> GemmConfig {
-        (self.decode)(self.idx[pos as usize] as usize)
+    /// Candidates filtered for one query: space indices, their feature
+    /// rows, and the decoder of the space they index.
+    pub(crate) fn listed(
+        idx: Vec<u32>,
+        rows: Vec<[f32; TUNING_FEATURES]>,
+        decode: fn(usize) -> GemmConfig,
+    ) -> Self {
+        Candidates {
+            lists: Lists::Owned(idx, rows),
+            decode,
+        }
     }
-}
 
-/// Look a dense query's legality class up (building it on first use),
-/// charged to the legality stage.
-fn dense_class(
-    log_features: bool,
-    stages: &mut Option<&mut StageBreakdown>,
-    lookup: impl FnOnce() -> LegalClass,
-) -> LegalClass {
-    let mark = Instant::now();
-    let class = lookup();
-    class.feature_rows(log_features);
-    if let Some(bd) = stages {
-        bd.legality_s += mark.elapsed().as_secs_f64();
+    fn indices(&self) -> &[u32] {
+        match &self.lists {
+            Lists::Class(class, _) => class.indices(),
+            Lists::Owned(idx, _) => idx,
+        }
     }
-    class
+
+    fn rows(&self) -> &[[f32; TUNING_FEATURES]] {
+        match &self.lists {
+            Lists::Class(class, log_features) => class.feature_rows(*log_features),
+            Lists::Owned(_, rows) => rows,
+        }
+    }
+
+    fn config(&self, pos: u32) -> GemmConfig {
+        (self.decode)(self.indices()[pos as usize] as usize)
+    }
 }
 
 /// The per-query model context shared by every scoring call: the trained
@@ -540,11 +425,15 @@ fn score_chunked(
     }
 }
 
+/// Room for the widest family's input-shape feature half.
+const MAX_INPUT_FEATURES: usize = 16;
+
 /// Model search over a query's legal candidates + top-k re-benchmark,
-/// shared by every op family: the family supplies the candidates and a
-/// bench closure. `opts.parallel` switches the rayon fan-out on or off;
-/// both modes run identical arithmetic over identical slices, so their
-/// results are bit-identical (asserted by tests/parallel_inference.rs).
+/// written once for every op family: the family ([`family`]) supplies
+/// the candidates, the input-shape features and the finalists' profiles.
+/// `opts.parallel` switches the rayon fan-out on or off; both modes run
+/// identical arithmetic over identical slices, so their results are
+/// bit-identical (asserted by tests/parallel_inference.rs).
 /// With `opts.cascade` the cheap pass prunes the candidate set before the
 /// full model runs -- unless the survivor cut would keep every candidate
 /// (small spaces: the 216-point sparse family), in which case the cheap
@@ -553,13 +442,24 @@ fn score_chunked(
 /// cheap score and is bit-identical to the pre-cascade engine.
 fn infer_engine(
     bundle: &ModelBundle,
-    legal: &Candidates<'_>,
-    shape_feats: &[f32],
+    shape: &KeyShape,
+    profiler: &Profiler,
     opts: &InferOptions,
-    bench: impl Fn(&GemmConfig) -> Option<Measurement> + Sync,
     mut stages: Option<&mut StageBreakdown>,
 ) -> Option<TunedChoice> {
-    let n = legal.idx.len();
+    let fam = family(shape.kind());
+    let spec = profiler.spec();
+    let mut feats = [0.0f32; MAX_INPUT_FEATURES];
+    let n_feats = fam.shape_features(shape, opts.log_features, &mut feats);
+    let shape_feats = &feats[..n_feats];
+
+    let mark = Instant::now();
+    let legal = fam.candidates(shape, spec, opts.log_features);
+    if let Some(bd) = stages.as_deref_mut() {
+        bd.legality_s += mark.elapsed().as_secs_f64();
+    }
+
+    let n = legal.indices().len();
     let top_k = opts.top_k;
     let cascade = opts.cascade.filter(|c| c.survivors(n, top_k) < n);
     let prefix = if cascade.is_some() {
@@ -570,7 +470,7 @@ fn infer_engine(
     let ctx = ModelCtx {
         bundle,
         prefix: &prefix,
-        rows: legal.rows.as_flattened(),
+        rows: legal.rows().as_flattened(),
     };
 
     with_scratch(|query| {
@@ -641,7 +541,8 @@ fn infer_engine(
         let bench_one = |r: usize| -> Option<(GemmConfig, f64, Measurement)> {
             let (pos, score) = ranked[r];
             let config = legal.config(pos);
-            let m = bench(&config)?;
+            let profile = fam.profile(&config, shape, spec)?;
+            let m = profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()?;
             Some((config, score as f64, m))
         };
         let measured: Vec<Option<(GemmConfig, f64, Measurement)>> = if opts.parallel {
@@ -670,91 +571,42 @@ fn infer_engine(
     })
 }
 
-/// The fully parameterized GEMM entry point; the named wrappers below
-/// cover the common corners.
-pub fn infer_gemm_opts(
+/// Cold-tune `shape`: model search over its family's legal
+/// configurations plus the top-k re-benchmark, with the fan-out and
+/// cascade `opts` ask for. The one tuning entry point for every family.
+pub fn infer(
     bundle: &ModelBundle,
-    shape: &GemmShape,
+    shape: &KeyShape,
     profiler: &Profiler,
     opts: &InferOptions,
 ) -> Option<TunedChoice> {
-    infer_gemm_engine(bundle, shape, profiler, opts, None)
+    infer_engine(bundle, shape, profiler, opts, None)
 }
 
-fn infer_gemm_engine(
+/// The exhaustive serial reference (no fan-out, no cascade) with
+/// per-stage wall-clock instrumentation: the same result as [`infer`]
+/// with those options, plus a [`StageBreakdown`] saying where the time
+/// went.
+pub fn infer_staged(
     bundle: &ModelBundle,
-    shape: &GemmShape,
-    profiler: &Profiler,
-    opts: &InferOptions,
-    mut stages: Option<&mut StageBreakdown>,
-) -> Option<TunedChoice> {
-    let spec = profiler.spec();
-    let mut shape_feats = [0.0f32; GEMM_INPUT_FEATURES];
-    gemm_shape_features_into(shape, opts.log_features, &mut shape_feats);
-    let class = dense_class(opts.log_features, &mut stages, || {
-        isaac_gen::legality::legal_class(shape, spec)
-    });
-    infer_engine(
-        bundle,
-        &Candidates::dense(&class, opts.log_features),
-        &shape_feats,
-        opts,
-        |cfg| {
-            let profile = gemm_profile(cfg, shape, spec).ok()?;
-            profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-        },
-        stages,
-    )
-}
-
-/// Exhaustive model search + top-k re-benchmark for GEMM, parallelized
-/// across cores with a deterministic reduction.
-pub fn infer_gemm(
-    bundle: &ModelBundle,
-    shape: &GemmShape,
+    shape: &KeyShape,
     profiler: &Profiler,
     top_k: usize,
     log_features: bool,
-) -> Option<TunedChoice> {
-    infer_gemm_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: true,
-            cascade: None,
-        },
-    )
+) -> (Option<TunedChoice>, StageBreakdown) {
+    let mut stages = StageBreakdown::default();
+    let opts = InferOptions {
+        top_k,
+        log_features,
+        parallel: false,
+        cascade: None,
+    };
+    let choice = infer_engine(bundle, shape, profiler, &opts, Some(&mut stages));
+    (choice, stages)
 }
 
-/// Serial reference for [`infer_gemm`]: identical arithmetic, no fan-out.
-/// Exists for the determinism property tests and as the pre-parallelism
-/// baseline in the queries/sec benchmark.
-pub fn infer_gemm_serial(
-    bundle: &ModelBundle,
-    shape: &GemmShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> Option<TunedChoice> {
-    infer_gemm_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-    )
-}
-
-/// [`infer_gemm_serial`] with per-stage wall-clock instrumentation:
-/// identical arithmetic and an identical result, plus a
-/// [`StageBreakdown`] saying where the time went.
+/// [`infer_staged`] for a GEMM shape. Kept as a named function because
+/// `benchmark/`'s probes import it.
 pub fn infer_gemm_staged(
     bundle: &ModelBundle,
     shape: &GemmShape,
@@ -762,103 +614,12 @@ pub fn infer_gemm_staged(
     top_k: usize,
     log_features: bool,
 ) -> (Option<TunedChoice>, StageBreakdown) {
-    let mut stages = StageBreakdown::default();
-    let choice = infer_gemm_engine(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-        Some(&mut stages),
-    );
-    (choice, stages)
+    let shape = KeyShape::Gemm(*shape);
+    infer_staged(bundle, &shape, profiler, top_k, log_features)
 }
 
-/// The fully parameterized CONV entry point.
-pub fn infer_conv_opts(
-    bundle: &ModelBundle,
-    shape: &ConvShape,
-    profiler: &Profiler,
-    opts: &InferOptions,
-) -> Option<TunedChoice> {
-    infer_conv_engine(bundle, shape, profiler, opts, None)
-}
-
-fn infer_conv_engine(
-    bundle: &ModelBundle,
-    shape: &ConvShape,
-    profiler: &Profiler,
-    opts: &InferOptions,
-    mut stages: Option<&mut StageBreakdown>,
-) -> Option<TunedChoice> {
-    let spec = profiler.spec();
-    let mut shape_feats = [0.0f32; CONV_INPUT_FEATURES];
-    conv_shape_features_into(shape, opts.log_features, &mut shape_feats);
-    let class = dense_class(opts.log_features, &mut stages, || {
-        isaac_gen::conv::legal_class(shape, spec)
-    });
-    infer_engine(
-        bundle,
-        &Candidates::dense(&class, opts.log_features),
-        &shape_feats,
-        opts,
-        |cfg| {
-            let profile = conv_profile(cfg, shape, spec).ok()?;
-            profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-        },
-        stages,
-    )
-}
-
-/// Exhaustive model search + top-k re-benchmark for CONV, parallelized
-/// across cores with a deterministic reduction.
-pub fn infer_conv(
-    bundle: &ModelBundle,
-    shape: &ConvShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> Option<TunedChoice> {
-    infer_conv_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: true,
-            cascade: None,
-        },
-    )
-}
-
-/// Serial reference for [`infer_conv`]; see [`infer_gemm_serial`].
-pub fn infer_conv_serial(
-    bundle: &ModelBundle,
-    shape: &ConvShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> Option<TunedChoice> {
-    infer_conv_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-    )
-}
-
-/// [`infer_conv_serial`] with per-stage instrumentation; see
-/// [`infer_gemm_staged`].
+/// [`infer_staged`] for a convolution. Kept as a named function because
+/// `benchmark/`'s probes import it.
 pub fn infer_conv_staged(
     bundle: &ModelBundle,
     shape: &ConvShape,
@@ -866,212 +627,35 @@ pub fn infer_conv_staged(
     top_k: usize,
     log_features: bool,
 ) -> (Option<TunedChoice>, StageBreakdown) {
-    let mut stages = StageBreakdown::default();
-    let choice = infer_conv_engine(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-        Some(&mut stages),
-    );
-    (choice, stages)
+    let shape = KeyShape::Conv(*shape);
+    infer_staged(bundle, &shape, profiler, top_k, log_features)
 }
 
-/// The fully parameterized sparse entry point: exhaustive model search
-/// over the 216-point sparse space plus top-k re-benchmark, driven by the
-/// input's structural summary instead of an exact shape.
-pub fn infer_sparse_opts(
-    bundle: &ModelBundle,
-    shape: &SparseShape,
-    profiler: &Profiler,
-    opts: &InferOptions,
-) -> Option<TunedChoice> {
-    infer_sparse_engine(bundle, shape, profiler, opts, None)
-}
-
-fn infer_sparse_engine(
-    bundle: &ModelBundle,
-    shape: &SparseShape,
-    profiler: &Profiler,
-    opts: &InferOptions,
-    mut stages: Option<&mut StageBreakdown>,
-) -> Option<TunedChoice> {
-    let spec = profiler.spec();
-    let mut shape_feats = [0.0f32; SPARSE_INPUT_FEATURES];
-    sparse_shape_features_into(shape, opts.log_features, &mut shape_feats);
-    // Sparse legality reads the whole input structure, so there is no
-    // class to memoize: filter the 216-point space per query.
-    let mark = Instant::now();
-    let table = isaac_sparse::space_table();
-    let tfeat = isaac_sparse::space_feature_table(opts.log_features);
-    let idx: Vec<u32> = (0..table.len() as u32)
-        .filter(|&i| isaac_sparse::space::check(&table[i as usize], shape).is_ok())
-        .collect();
-    let rows: Vec<[f32; TUNING_FEATURES]> = idx.iter().map(|&i| tfeat[i as usize]).collect();
-    if let Some(bd) = stages.as_deref_mut() {
-        bd.legality_s += mark.elapsed().as_secs_f64();
-    }
-    infer_engine(
-        bundle,
-        &Candidates {
-            idx: &idx,
-            rows: &rows,
-            decode: |i| isaac_sparse::space_table()[i],
-        },
-        &shape_feats,
-        opts,
-        |cfg| {
-            let profile = sparse_profile(cfg, shape, spec).ok()?;
-            profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-        },
-        stages,
-    )
-}
-
-/// Exhaustive model search + top-k re-benchmark for the sparse family,
-/// parallelized across cores with a deterministic reduction.
-pub fn infer_sparse(
-    bundle: &ModelBundle,
-    shape: &SparseShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> Option<TunedChoice> {
-    infer_sparse_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: true,
-            cascade: None,
-        },
-    )
-}
-
-/// Serial reference for [`infer_sparse`]; see [`infer_gemm_serial`].
-pub fn infer_sparse_serial(
-    bundle: &ModelBundle,
-    shape: &SparseShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> Option<TunedChoice> {
-    infer_sparse_opts(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-    )
-}
-
-/// [`infer_sparse_serial`] with per-stage instrumentation; see
-/// [`infer_gemm_staged`].
-pub fn infer_sparse_staged(
-    bundle: &ModelBundle,
-    shape: &SparseShape,
-    profiler: &Profiler,
-    top_k: usize,
-    log_features: bool,
-) -> (Option<TunedChoice>, StageBreakdown) {
-    let mut stages = StageBreakdown::default();
-    let choice = infer_sparse_engine(
-        bundle,
-        shape,
-        profiler,
-        &InferOptions {
-            top_k,
-            log_features,
-            parallel: false,
-            cascade: None,
-        },
-        Some(&mut stages),
-    );
-    (choice, stages)
-}
-
-/// Re-benchmark a single, already-chosen GEMM configuration on a device:
+/// Re-benchmark a single, already-chosen configuration for `shape`:
 /// legality check, analytical profile, then the same best-of measurement
 /// policy as the engine's finalist stage -- so results are directly
-/// comparable with cold-tuned [`TunedChoice`]s. This is the unit of work
-/// of cross-device warm-start (`IsaacTuner::warm_start`): seeding a
-/// shard from a neighbour's decision costs one of these instead of a
-/// full exhaustive-search cold tune.
-pub fn rebench_gemm(
-    cfg: &GemmConfig,
-    shape: &GemmShape,
-    profiler: &Profiler,
-) -> Option<Measurement> {
+/// comparable with cold-tuned [`TunedChoice`]s. `None` if `cfg` is
+/// illegal there. This is the unit of work of cross-device warm-start
+/// (`IsaacTuner::warm_start`): seeding a shard from a neighbour's
+/// decision costs one of these instead of a full cold tune.
+pub fn rebench(cfg: &GemmConfig, shape: &KeyShape, profiler: &Profiler) -> Option<Measurement> {
+    let fam = family(shape.kind());
     let spec = profiler.spec();
-    isaac_gen::legality::check(cfg, shape, spec).ok()?;
-    let profile = gemm_profile(cfg, shape, spec).ok()?;
-    profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-}
-
-/// Re-benchmark a single CONV configuration; see [`rebench_gemm`].
-pub fn rebench_conv(
-    cfg: &GemmConfig,
-    shape: &ConvShape,
-    profiler: &Profiler,
-) -> Option<Measurement> {
-    let spec = profiler.spec();
-    isaac_gen::conv::check(cfg, shape, spec).ok()?;
-    let profile = conv_profile(cfg, shape, spec).ok()?;
-    profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-}
-
-/// Re-benchmark a single sparse configuration; see [`rebench_gemm`].
-pub fn rebench_sparse(
-    cfg: &GemmConfig,
-    shape: &SparseShape,
-    profiler: &Profiler,
-) -> Option<Measurement> {
-    isaac_sparse::space::check(cfg, shape).ok()?;
-    let profile = sparse_profile(cfg, shape, profiler.spec()).ok()?;
-    profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
-}
-
-/// Brute-force oracle: measure *every* legal configuration and return the
-/// true best (the "10 hours of exhaustive search on hardware" the paper's
-/// runtime inference replaces). Used to evaluate selection quality.
-pub fn oracle_gemm(shape: &GemmShape, profiler: &Profiler) -> Option<TunedChoice> {
-    let spec = profiler.spec();
-    let mut best: Option<TunedChoice> = None;
-    for cfg in isaac_gen::legality::legal_class(shape, spec).configs() {
-        let Ok(profile) = gemm_profile(&cfg, shape, spec) else {
-            continue;
-        };
-        let Ok(m) = profiler.measure(&profile) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|b| m.time_s < b.time_s) {
-            best = Some(TunedChoice {
-                config: cfg,
-                predicted_gflops: m.tflops * 1e3,
-                tflops: m.tflops,
-                time_s: m.time_s,
-            });
-        }
+    if !fam.is_legal(cfg, shape, spec) {
+        return None;
     }
-    best
+    let profile = fam.profile(cfg, shape, spec)?;
+    profiler.measure_best_of(&profile, RE_BENCH_REPS).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::OpKind;
+    use crate::ops::enumerate_legal_gemm;
     use isaac_device::specs::tesla_p100;
     use isaac_device::DType;
+    use isaac_gen::shapes::ConvShape;
 
     #[test]
     fn legal_set_is_nonempty_for_benchmark_shapes() {
@@ -1135,12 +719,13 @@ mod tests {
     fn heuristic_fallback_is_legal_deterministic_and_unmeasured() {
         let spec = tesla_p100();
         for (m, n, k) in [(512, 512, 512), (2560, 16, 2560), (32, 32, 60000)] {
-            let shape = GemmShape::new(m, n, k, "N", "T", DType::F32);
-            let a = heuristic_gemm(&shape, &spec).expect("fallback must exist");
-            let b = heuristic_gemm(&shape, &spec).expect("fallback must exist");
+            let shape = KeyShape::Gemm(GemmShape::new(m, n, k, "N", "T", DType::F32));
+            let gemm = family(OpKind::Gemm);
+            let a = gemm.heuristic(&shape, &spec).expect("fallback must exist");
+            let b = gemm.heuristic(&shape, &spec).expect("fallback must exist");
             assert_eq!(a, b, "({m},{n},{k}) heuristic must be deterministic");
             assert!(
-                isaac_gen::legality::check(&a.config, &shape, &spec).is_ok(),
+                gemm.is_legal(&a.config, &shape, &spec),
                 "({m},{n},{k}) heuristic config must be legal"
             );
             assert_eq!(a.predicted_gflops, 0.0);
@@ -1154,7 +739,9 @@ mod tests {
     fn heuristic_prefers_the_largest_legal_tile() {
         let spec = tesla_p100();
         let shape = GemmShape::new(2048, 2048, 2048, "N", "T", DType::F32);
-        let choice = heuristic_gemm(&shape, &spec).expect("fallback must exist");
+        let choice = family(OpKind::Gemm)
+            .heuristic(&KeyShape::Gemm(shape), &spec)
+            .expect("fallback must exist");
         let max_area = enumerate_legal_gemm(&shape, &spec)
             .iter()
             .map(|c| c.ml * c.nl)
@@ -1168,9 +755,11 @@ mod tests {
     fn heuristic_conv_fallback_is_legal() {
         let spec = tesla_p100();
         let shape = ConvShape::from_output(16, 14, 14, 48, 512, 5, 5, DType::F32);
-        let choice = heuristic_conv(&shape, &spec).expect("fallback must exist");
-        assert!(isaac_gen::conv::check(&choice.config, &shape, &spec).is_ok());
-        assert_eq!(choice, heuristic_conv(&shape, &spec).unwrap());
+        let shape = KeyShape::Conv(shape);
+        let conv = family(OpKind::Conv);
+        let choice = conv.heuristic(&shape, &spec).expect("fallback must exist");
+        assert!(conv.is_legal(&choice.config, &shape, &spec));
+        assert_eq!(choice, conv.heuristic(&shape, &spec).unwrap());
     }
 
     #[test]
@@ -1236,6 +825,10 @@ mod tests {
     #[test]
     fn staged_tunes_charge_every_finalist_launch() {
         use crate::features::{gemm_features, sparse_features, GEMM_FEATURES, SPARSE_FEATURES};
+        use crate::ops::enumerate_legal_sparse;
+        use isaac_gen::profile::gemm_profile;
+        use isaac_sparse::profile::sparse_profile;
+        use isaac_sparse::SparseShape;
         let profiler = Profiler::new(tesla_p100(), 0x15AAC);
         let spec = profiler.spec();
         let top_k = 20;
@@ -1277,16 +870,9 @@ mod tests {
             &profiler,
             top_k,
         );
-        let (choice, stages) = infer_sparse_staged(&bundle, &shape, &profiler, top_k, true);
+        let (choice, stages) =
+            infer_staged(&bundle, &KeyShape::Sparse(shape), &profiler, top_k, true);
         assert!(choice.is_some());
         assert_eq!(stages.device_s.to_bits(), want.to_bits(), "sparse device_s");
-    }
-
-    #[test]
-    fn oracle_finds_a_runnable_kernel() {
-        let profiler = Profiler::noiseless(tesla_p100());
-        let shape = GemmShape::new(256, 256, 256, "N", "T", DType::F32);
-        let best = oracle_gemm(&shape, &profiler).expect("some legal kernel");
-        assert!(best.tflops > 0.5, "oracle kernel too slow: {}", best.tflops);
     }
 }

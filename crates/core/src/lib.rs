@@ -14,7 +14,11 @@
 //! 3. **Runtime inference** ([`inference`]): for a fixed input, the model
 //!    is evaluated exhaustively over all legal tuning configurations, the
 //!    top-k predictions are re-benchmarked to smooth model noise, and the
-//!    winner is cached (Section 6).
+//!    winner is cached (Section 6). One engine ([`infer`], with
+//!    [`infer_staged`] as its instrumented exhaustive serial reference)
+//!    serves every operation; each op family supplies only its legal
+//!    candidates, input features, legality check, profile and
+//!    heuristic.
 //!
 //! [`tuner::IsaacTuner`] packages the whole loop behind a
 //! `train -> tune -> execute` API; see the crate examples at the
@@ -42,7 +46,7 @@ pub mod dataset;
 pub mod durability;
 pub mod features;
 pub mod inference;
-pub mod ops;
+mod ops;
 pub mod optimizers;
 pub mod sampling;
 pub mod tuner;
@@ -55,14 +59,10 @@ pub use durability::{
     WalDecode, WalRecord, WalWriter,
 };
 pub use inference::{
-    engine_stats, enumerate_legal_conv, enumerate_legal_gemm, enumerate_legal_sparse,
-    heuristic_conv, heuristic_gemm, heuristic_sparse, infer_conv, infer_conv_opts,
-    infer_conv_serial, infer_conv_staged, infer_gemm, infer_gemm_opts, infer_gemm_serial,
-    infer_gemm_staged, infer_sparse, infer_sparse_opts, infer_sparse_serial, infer_sparse_staged,
-    rebench_conv, rebench_gemm, rebench_sparse, CascadeConfig, EngineStats, InferOptions,
-    StageBreakdown, TunedChoice,
+    engine_stats, infer, infer_conv_staged, infer_gemm_staged, infer_staged, rebench,
+    CascadeConfig, EngineStats, InferOptions, StageBreakdown, TunedChoice,
 };
-pub use ops::{family, OpFamily};
+pub use ops::{enumerate_legal_conv, enumerate_legal_gemm, enumerate_legal_sparse};
 // The sparse family's input types are part of the tuner's public
 // currency (`KeyShape::Sparse`, `TuneKey::sparse`), so re-export them
 // alongside it for downstream crates -- plus the seeded matrix

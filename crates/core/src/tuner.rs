@@ -33,7 +33,7 @@
 
 use crate::dataset::{DatasetOptions, OpKind};
 use crate::durability::{CacheJournal, WalRecord};
-use crate::inference::{CascadeConfig, InferOptions, TunedChoice};
+use crate::inference::{infer, rebench, CascadeConfig, InferOptions, TunedChoice};
 use crate::ops::family;
 use isaac_device::{DType, DeviceSpec, Profiler};
 use isaac_gen::shapes::{ConvShape, GemmShape};
@@ -1627,21 +1627,6 @@ impl IsaacTuner {
         shape.key().on_device(self.device_id)
     }
 
-    /// The cache key a GEMM query resolves to on this tuner.
-    pub fn key_gemm(&self, shape: &GemmShape) -> TuneKey {
-        self.key_shape(&KeyShape::Gemm(*shape))
-    }
-
-    /// The cache key a CONV query resolves to on this tuner.
-    pub fn key_conv(&self, shape: &ConvShape) -> TuneKey {
-        self.key_shape(&KeyShape::Conv(*shape))
-    }
-
-    /// The cache key a sparse query resolves to on this tuner.
-    pub fn key_sparse(&self, shape: &SparseShape) -> TuneKey {
-        self.key_shape(&KeyShape::Sparse(*shape))
-    }
-
     /// Operation kind.
     pub fn kind(&self) -> OpKind {
         self.kind
@@ -1683,8 +1668,7 @@ impl IsaacTuner {
             "this tuner was trained for {}",
             self.kind.to_string().to_uppercase()
         );
-        let choice =
-            family(self.kind).infer(&self.bundle, shape, &self.profiler, &self.infer_options())?;
+        let choice = infer(&self.bundle, shape, &self.profiler, &self.infer_options())?;
         self.cache.insert(self.key_shape(shape), choice.clone());
         Some(choice)
     }
@@ -1704,21 +1688,9 @@ impl IsaacTuner {
         self.tune_shape(&KeyShape::Gemm(*shape))
     }
 
-    /// Cold-tune a GEMM input without the cache lookup; see
-    /// [`IsaacTuner::tune_shape_cold`].
-    pub fn tune_gemm_cold(&self, shape: &GemmShape) -> Option<TunedChoice> {
-        self.tune_shape_cold(&KeyShape::Gemm(*shape))
-    }
-
     /// Tune a CONV input; see [`IsaacTuner::tune_shape`].
     pub fn tune_conv(&self, shape: &ConvShape) -> Option<TunedChoice> {
         self.tune_shape(&KeyShape::Conv(*shape))
-    }
-
-    /// Cold-tune a CONV input without the cache lookup; see
-    /// [`IsaacTuner::tune_shape_cold`].
-    pub fn tune_conv_cold(&self, shape: &ConvShape) -> Option<TunedChoice> {
-        self.tune_shape_cold(&KeyShape::Conv(*shape))
     }
 
     /// Tune a sparse input; see [`IsaacTuner::tune_shape`].
@@ -1726,38 +1698,14 @@ impl IsaacTuner {
         self.tune_shape(&KeyShape::Sparse(*shape))
     }
 
-    /// Cold-tune a sparse input without the cache lookup; see
-    /// [`IsaacTuner::tune_shape_cold`].
-    pub fn tune_sparse_cold(&self, shape: &SparseShape) -> Option<TunedChoice> {
-        self.tune_shape_cold(&KeyShape::Sparse(*shape))
-    }
-
     /// Model-free heuristic choice for any input shape on this tuner's
-    /// device (e.g. the largest-legal-tile rule for GEMM,
-    /// [`crate::inference::heuristic_gemm`]). Never touches the MLP,
+    /// device (e.g. the largest-legal-tile rule for GEMM and CONV, the
+    /// scalar CSR kernel for sparse inputs). Never touches the MLP,
     /// the profiler, or the cache -- the serving layer's degraded mode
     /// uses it when the tuned path is unhealthy, and must not publish
     /// the result as an authoritative decision.
     pub fn heuristic_shape(&self, shape: &KeyShape) -> Option<TunedChoice> {
         family(shape.kind()).heuristic(shape, &self.spec)
-    }
-
-    /// Model-free heuristic choice for a GEMM shape; see
-    /// [`IsaacTuner::heuristic_shape`].
-    pub fn heuristic_gemm(&self, shape: &GemmShape) -> Option<TunedChoice> {
-        self.heuristic_shape(&KeyShape::Gemm(*shape))
-    }
-
-    /// Model-free heuristic choice for a convolution; see
-    /// [`IsaacTuner::heuristic_shape`].
-    pub fn heuristic_conv(&self, shape: &ConvShape) -> Option<TunedChoice> {
-        self.heuristic_shape(&KeyShape::Conv(*shape))
-    }
-
-    /// Model-free heuristic choice for a sparse input; see
-    /// [`IsaacTuner::heuristic_shape`].
-    pub fn heuristic_sparse(&self, shape: &SparseShape) -> Option<TunedChoice> {
-        self.heuristic_shape(&KeyShape::Sparse(*shape))
     }
 
     /// Tune and *execute* a single-precision (or half-precision) GEMM on
@@ -1903,9 +1851,7 @@ impl IsaacTuner {
                 report.skipped += 1;
                 continue;
             }
-            let measured =
-                family(self.kind).rebench(&choice.config, &local.to_shape(), &self.profiler);
-            match measured {
+            match rebench(&choice.config, &local.to_shape(), &self.profiler) {
                 Some(m) => {
                     self.cache.insert(
                         local,
@@ -1938,19 +1884,21 @@ impl IsaacTuner {
     /// Serialize the trained model (not the cache) to a file. The header
     /// carries every option a query reads -- `top_k`, the feature
     /// encoding, the profiler seed and the cascade -- so a loaded tuner
-    /// serves the decisions the saved one would.
+    /// serves the decisions the saved one would, and the validation MSE
+    /// as the hex of its bits, so it loads exactly.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let cascade = match self.opts.cascade {
             Some(c) => format!("{} {}", c.keep_frac, c.min_keep),
             None => "none".to_string(),
         };
         let mut text = format!(
-            "isaac-tuner {} {} topk {} log {} seed {} cascade {cascade}\n",
+            "isaac-tuner {} {} topk {} log {} seed {} cascade {cascade} val {:08x}\n",
             self.kind,
             self.spec.name.replace(' ', "_"),
             self.opts.top_k,
             self.opts.log_features as u8,
             self.opts.seed,
+            self.validation_mse.to_bits(),
         );
         text.push_str(&isaac_mlp::io::to_text(&self.bundle));
         std::fs::write(path, text)
@@ -1959,7 +1907,8 @@ impl IsaacTuner {
     /// Load a model saved with [`IsaacTuner::save`]; `spec` must be the
     /// same device it was trained on. A header without `seed` and
     /// `cascade` fields (written before they existed) loads with seed 0
-    /// and the default cascade.
+    /// and the default cascade; one without `val`, with a NaN
+    /// `validation_mse`.
     pub fn load(path: &Path, spec: DeviceSpec, kind: OpKind) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let mut lines = text.splitn(2, '\n');
@@ -2000,6 +1949,10 @@ impl IsaacTuner {
                 })
             }
         };
+        let validation_mse = fields
+            .nth(1)
+            .and_then(|t| u32::from_str_radix(t, 16).ok())
+            .map_or(f32::NAN, f32::from_bits);
         let bundle = isaac_mlp::io::from_text(body)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let opts = TrainOptions {
@@ -2015,7 +1968,7 @@ impl IsaacTuner {
             kind,
             bundle,
             opts,
-            validation_mse: f32::NAN,
+            validation_mse,
             cache: TuneCache::new(),
             device_id: 0,
         })
@@ -2595,6 +2548,11 @@ mod tests {
         let a = orig.tune_gemm(&shape).unwrap();
         let b = loaded.tune_gemm(&shape).unwrap();
         assert_eq!(a.config, b.config);
+        assert!(orig.validation_mse.is_finite());
+        assert_eq!(
+            loaded.validation_mse.to_bits(),
+            orig.validation_mse.to_bits()
+        );
         let _ = std::fs::remove_file(&dir);
     }
 
@@ -2647,6 +2605,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.opts.seed, 0);
         assert_eq!(loaded.opts.cascade, Some(CascadeConfig::default()));
+        assert!(loaded.validation_mse.is_nan());
         let shape = GemmShape::new(256, 64, 512, "N", "T", DType::F32);
         assert_eq!(
             tuner.tune_shape_cold(&KeyShape::Gemm(shape)),
@@ -2823,7 +2782,7 @@ mod tests {
         let misses_before = fresh.cache_stats().misses;
         let mut hits = 0;
         for s in &shapes {
-            let key = fresh.key_gemm(s);
+            let key = fresh.key_shape(&KeyShape::Gemm(*s));
             assert_eq!(key.device, 7);
             if let Some(seeded) = fresh.cache().peek(&key) {
                 let served = fresh.tune_gemm(s).expect("hit");
@@ -2882,7 +2841,7 @@ mod tests {
 
         // The model-free heuristic never touches the cache.
         let stats = tuner.cache_stats();
-        assert!(tuner.heuristic_sparse(&shape).is_some());
+        assert!(tuner.heuristic_shape(&KeyShape::Sparse(shape)).is_some());
         assert_eq!(tuner.cache_stats(), stats);
     }
 

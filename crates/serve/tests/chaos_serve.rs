@@ -16,13 +16,13 @@
 //!    entry exactly once, and only *that* is journaled;
 //! 4. **breaker-open degrades new keys** -- with the shard's breaker
 //!    tripped, a fresh key is served by the model-free heuristic
-//!    (exactly `IsaacTuner::heuristic_gemm`, measurements zeroed), and
+//!    (exactly `IsaacTuner::heuristic_shape`, measurements zeroed), and
 //!    repair + a healthy probe re-close the breaker.
 //!
 //! Seeds come from `ISAAC_CHAOS_SEEDS` (space-separated u64s; CI pins
 //! its own set) so a failure reproduces exactly.
 
-use isaac_core::{IsaacTuner, OpKind, TrainOptions};
+use isaac_core::{IsaacTuner, KeyShape, OpKind, TrainOptions};
 use isaac_device::specs::tesla_p100;
 use isaac_device::{DType, DeviceSpec};
 use isaac_gen::shapes::GemmShape;
@@ -393,7 +393,14 @@ fn open_breaker_degrades_new_keys_with_the_heuristic() {
     assert_eq!(d.served, Served::Degraded);
     let tuner = service.shard_tuner(0, OpKind::Gemm).expect("shard");
     let expected = tuner
-        .heuristic_gemm(&GemmShape::new(512, 256, 128, "N", "T", DType::F32))
+        .heuristic_shape(&KeyShape::Gemm(GemmShape::new(
+            512,
+            256,
+            128,
+            "N",
+            "T",
+            DType::F32,
+        )))
         .expect("heuristic exists");
     let got = d.choice.expect("degraded choice");
     assert_eq!(got.config, expected.config, "heuristic config, verbatim");

@@ -260,7 +260,7 @@ fn sparse_keys_quarantine_and_repair_like_any_other_family() {
     assert_eq!(
         d.choice.expect("heuristic stand-in").config,
         GemmConfig::from_vector([1; 9]),
-        "degraded sparse answers come from heuristic_sparse"
+        "degraded sparse answers come from the sparse heuristic"
     );
 
     // Quarantined answers are instant and burn no further attempts.

@@ -5,7 +5,7 @@
 //! it -- so consecutive snapshots never go backwards, and a quiescent
 //! snapshot equals the sum of the shards' own `cache_stats()` exactly.
 
-use isaac_core::{IsaacTuner, OpKind, TrainOptions};
+use isaac_core::{IsaacTuner, KeyShape, OpKind, TrainOptions};
 use isaac_device::specs::{gtx980ti, tesla_p100};
 use isaac_device::{DType, DeviceSpec};
 use isaac_gen::shapes::GemmShape;
@@ -157,7 +157,7 @@ fn aggregation_covers_direct_tuner_traffic() {
 
     let before = ServiceStats::snapshot(&service);
     let shape = GemmShape::new(128, 64, 96, "N", "T", DType::F32);
-    let key = shard.key_gemm(&shape);
+    let key = shard.key_shape(&KeyShape::Gemm(shape));
     for _ in 0..10 {
         assert!(shard.cache().get(&key).is_some());
     }

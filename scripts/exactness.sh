@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Exactness probe for a change claimed bit-identical: runs the benchmark
 # (benchmark/run.sh, default 20 s, where choice_quality depends on the
-# seed) for cold_dense at seeds 1, 2, 3 and 1802 and for mixed_open at
-# seed 1802, and prints one line per run with its choice_quality and the
-# decision_hash of its rounds (read from the round files while the run
-# is alive; the benchmark deletes them when it ends).
+# seed) for cold_dense at seeds 1, 2, 3 and 1802, for mixed_open at seed
+# 1802 and for churn_durable (the sparse family) at seed 1802, and prints
+# one line per run with its choice_quality and the decision_hash of its
+# rounds (read from the round files while the run is alive; the
+# benchmark deletes them when it ends).
 #
 # Run it in two checkouts and diff the outputs -- every line must match:
 #
@@ -16,7 +17,7 @@ out="$root/benchmark/out"
 log="$(mktemp)"
 trap 'rm -f "$log"' EXIT
 
-for run in "cold_dense 1" "cold_dense 2" "cold_dense 3" "cold_dense 1802" "mixed_open 1802"; do
+for run in "cold_dense 1" "cold_dense 2" "cold_dense 3" "cold_dense 1802" "mixed_open 1802" "churn_durable 1802"; do
   read -r workload seed <<<"$run"
   bash "$root/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds 20 >"$log" 2>&1 &
   pid=$!

@@ -14,8 +14,8 @@
 //! 4. a tuner trained with `TrainOptions::cascade` makes the same cached
 //!    decisions as one without.
 
-use isaac::core::inference::{infer_gemm_opts, CascadeConfig, InferOptions};
-use isaac::core::{infer_gemm, OpKind, TrainOptions};
+use isaac::core::inference::{infer, CascadeConfig, InferOptions};
+use isaac::core::{KeyShape, OpKind, TrainOptions};
 use isaac::mlp::io::ModelBundle;
 use isaac::mlp::{Mlp, Standardizer};
 use isaac::prelude::*;
@@ -44,15 +44,22 @@ fn bench_shapes() -> Vec<GemmShape> {
 fn cascade_choice_matches_exhaustive_on_bench_suite() {
     let bundle = random_bundle(isaac::core::features::GEMM_FEATURES, 17);
     let profiler = Profiler::new(tesla_p100(), 0x15AAC);
-    let opts = InferOptions {
+    let opts = |cascade| InferOptions {
         top_k: 50,
         log_features: true,
         parallel: true,
-        cascade: Some(CascadeConfig::default()),
+        cascade,
     };
     for shape in &bench_shapes() {
-        let exhaustive = infer_gemm(&bundle, shape, &profiler, 50, true).expect("choice");
-        let cascaded = infer_gemm_opts(&bundle, shape, &profiler, &opts).expect("choice");
+        let key = KeyShape::Gemm(*shape);
+        let exhaustive = infer(&bundle, &key, &profiler, &opts(None)).expect("choice");
+        let cascaded = infer(
+            &bundle,
+            &key,
+            &profiler,
+            &opts(Some(CascadeConfig::default())),
+        )
+        .expect("choice");
         assert_eq!(
             exhaustive,
             cascaded,
@@ -66,15 +73,15 @@ fn cascade_choice_matches_exhaustive_on_bench_suite() {
 fn cascade_is_deterministic_across_fanout() {
     let bundle = random_bundle(isaac::core::features::GEMM_FEATURES, 29);
     let profiler = Profiler::new(tesla_p100(), 7);
-    let shape = GemmShape::new(512, 512, 512, "N", "T", DType::F32);
+    let shape = KeyShape::Gemm(GemmShape::new(512, 512, 512, "N", "T", DType::F32));
     let mk = |parallel| InferOptions {
         top_k: 25,
         log_features: true,
         parallel,
         cascade: Some(CascadeConfig::default()),
     };
-    let par = infer_gemm_opts(&bundle, &shape, &profiler, &mk(true)).expect("choice");
-    let ser = infer_gemm_opts(&bundle, &shape, &profiler, &mk(false)).expect("choice");
+    let par = infer(&bundle, &shape, &profiler, &mk(true)).expect("choice");
+    let ser = infer(&bundle, &shape, &profiler, &mk(false)).expect("choice");
     assert_eq!(par.config, ser.config);
     assert_eq!(
         par.predicted_gflops.to_bits(),
@@ -90,7 +97,7 @@ fn tighter_cascades_still_respect_the_floor() {
     // top_k) candidates, so tiny legal sets are never over-pruned.
     let bundle = random_bundle(isaac::core::features::GEMM_FEATURES, 3);
     let profiler = Profiler::new(tesla_p100(), 11);
-    let shape = GemmShape::new(2560, 16, 2560, "N", "N", DType::F32);
+    let shape = KeyShape::Gemm(GemmShape::new(2560, 16, 2560, "N", "N", DType::F32));
     let opts = InferOptions {
         top_k: 10,
         log_features: true,
@@ -100,7 +107,7 @@ fn tighter_cascades_still_respect_the_floor() {
             min_keep: 4096,
         }),
     };
-    let choice = infer_gemm_opts(&bundle, &shape, &profiler, &opts);
+    let choice = infer(&bundle, &shape, &profiler, &opts);
     assert!(choice.is_some(), "floor-clamped cascade must still tune");
 }
 

@@ -1,26 +1,28 @@
 //! Properties of the parallel tuning query engine (PR: parallel,
 //! allocation-free inference):
 //!
-//! 1. the rayon-parallel engine returns **bit-identical** `TunedChoice`s
-//!    to a naive, independently written serial reference (and to the
-//!    engine's own no-fan-out mode) under a fixed seed,
+//! 1. for every op family, the rayon-parallel engine returns
+//!    **bit-identical** `TunedChoice`s to a naive, independently written
+//!    serial reference (and to the engine's own no-fan-out mode) under a
+//!    fixed seed,
 //! 2. a second identical query is a cache **hit** that returns the same
 //!    choice without re-running inference,
 //! 3. the steady-state query path performs **zero per-candidate heap
 //!    allocations** -- the pooled feature/activation/candidate buffers
 //!    stop growing after warmup.
 
-use isaac::core::features::{conv_features, gemm_features};
+use isaac::core::features::{conv_features, gemm_features, sparse_features};
 use isaac::core::inference::{self, space_iter};
 use isaac::core::{
-    engine_stats, infer_conv, infer_conv_serial, infer_gemm, infer_gemm_serial, OpKind,
-    TrainOptions, TunedChoice,
+    engine_stats, enumerate_legal_sparse, infer, InferOptions, KeyShape, OpKind, SparseOp,
+    SparseShape, TrainOptions, TunedChoice,
 };
 use isaac::gen::profile::{conv_profile, gemm_profile};
 use isaac::gen::shapes::{ConvShape, GemmShape};
 use isaac::mlp::io::ModelBundle;
 use isaac::mlp::{Mlp, Standardizer};
 use isaac::prelude::*;
+use isaac_sparse::profile::sparse_profile;
 use std::sync::{Mutex, MutexGuard};
 
 /// The engine's scratch pool and its counters are process-global, and
@@ -93,6 +95,25 @@ fn naive_infer_conv(
     })
 }
 
+fn naive_infer_sparse(
+    bundle: &ModelBundle,
+    shape: &SparseShape,
+    profiler: &Profiler,
+    top_k: usize,
+) -> Option<TunedChoice> {
+    let spec = profiler.spec();
+    let candidates = enumerate_legal_sparse(shape);
+    let rows: Vec<Vec<f32>> = candidates
+        .iter()
+        .map(|cfg| sparse_features(shape, cfg, true))
+        .collect();
+    let scores = bundle.predict_batch(&rows);
+    naive_select(&candidates, &scores, top_k, |cfg| {
+        let profile = sparse_profile(cfg, shape, spec).ok()?;
+        profiler.measure_best_of(&profile, 3).ok()
+    })
+}
+
 fn naive_select(
     candidates: &[GemmConfig],
     scores: &[f32],
@@ -119,6 +140,24 @@ fn naive_select(
     best
 }
 
+/// The engine on `shape` with the exhaustive (cascade-free) options the
+/// naive references implement, fanned out or serial.
+fn engine(
+    bundle: &ModelBundle,
+    shape: KeyShape,
+    profiler: &Profiler,
+    top_k: usize,
+    parallel: bool,
+) -> Option<TunedChoice> {
+    let opts = InferOptions {
+        top_k,
+        log_features: true,
+        parallel,
+        cascade: None,
+    };
+    infer(bundle, &shape, profiler, &opts)
+}
+
 fn assert_bit_identical(a: &TunedChoice, b: &TunedChoice, what: &str) {
     assert_eq!(a.config, b.config, "{what}: config differs");
     assert_eq!(
@@ -142,8 +181,8 @@ fn parallel_gemm_inference_is_bit_identical_to_serial_reference() {
         GemmShape::new(32, 32, 60000, "T", "N", DType::F32),
     ];
     for shape in &shapes {
-        let par = infer_gemm(&bundle, shape, &profiler, 25, true).expect("choice");
-        let ser = infer_gemm_serial(&bundle, shape, &profiler, 25, true).expect("choice");
+        let par = engine(&bundle, KeyShape::Gemm(*shape), &profiler, 25, true).expect("choice");
+        let ser = engine(&bundle, KeyShape::Gemm(*shape), &profiler, 25, false).expect("choice");
         let naive = naive_infer_gemm(&bundle, shape, &profiler, 25).expect("choice");
         assert_bit_identical(&par, &ser, &format!("{} par-vs-serial", shape.name()));
         assert_bit_identical(&par, &naive, &format!("{} par-vs-naive", shape.name()));
@@ -156,11 +195,43 @@ fn parallel_conv_inference_is_bit_identical_to_serial_reference() {
     let bundle = random_bundle(isaac::core::features::CONV_FEATURES, 23);
     let profiler = Profiler::new(tesla_p100(), 0xC0);
     let shape = ConvShape::from_output(16, 14, 14, 48, 512, 5, 5, DType::F32);
-    let par = infer_conv(&bundle, &shape, &profiler, 25, true).expect("choice");
-    let ser = infer_conv_serial(&bundle, &shape, &profiler, 25, true).expect("choice");
+    let par = engine(&bundle, KeyShape::Conv(shape), &profiler, 25, true).expect("choice");
+    let ser = engine(&bundle, KeyShape::Conv(shape), &profiler, 25, false).expect("choice");
     let naive = naive_infer_conv(&bundle, &shape, &profiler, 25).expect("choice");
     assert_bit_identical(&par, &ser, "conv par-vs-serial");
     assert_bit_identical(&par, &naive, "conv par-vs-naive");
+}
+
+/// One structure per sparse operation: the family's per-query legality
+/// filter, its input-structure features and its profile builder must
+/// wire into the engine exactly as the naive reference composes them.
+#[test]
+fn parallel_sparse_inference_is_bit_identical_to_serial_reference() {
+    let _guard = pool_lock();
+    let bundle = random_bundle(isaac::core::features::SPARSE_FEATURES, 31);
+    let profiler = Profiler::new(tesla_p100(), 0x5BA);
+    let shapes = [
+        (
+            SparseOp::Spmv,
+            isaac::core::sparse_csr::power_law(2048, 12, 9),
+        ),
+        (
+            SparseOp::Sptrsv,
+            isaac::core::sparse_csr::banded(4096, 5, 7),
+        ),
+        (
+            SparseOp::Symgs,
+            isaac::core::sparse_csr::blocked(2048, 8, 4, 17),
+        ),
+    ];
+    for (op, a) in &shapes {
+        let shape = SparseShape::from_csr(*op, a, DType::F32);
+        let par = engine(&bundle, KeyShape::Sparse(shape), &profiler, 25, true).expect("choice");
+        let ser = engine(&bundle, KeyShape::Sparse(shape), &profiler, 25, false).expect("choice");
+        let naive = naive_infer_sparse(&bundle, &shape, &profiler, 25).expect("choice");
+        assert_bit_identical(&par, &ser, &format!("{op:?} par-vs-serial"));
+        assert_bit_identical(&par, &naive, &format!("{op:?} par-vs-naive"));
+    }
 }
 
 #[test]
@@ -172,11 +243,11 @@ fn repeated_queries_stop_allocating() {
     // Warm the scratch pool (other tests may share it; what matters is
     // that it is stable from here on).
     for _ in 0..3 {
-        infer_gemm(&bundle, &shape, &profiler, 10, true);
+        engine(&bundle, KeyShape::Gemm(shape), &profiler, 10, true);
     }
     let warmed = engine_stats();
     for _ in 0..5 {
-        infer_gemm(&bundle, &shape, &profiler, 10, true);
+        engine(&bundle, KeyShape::Gemm(shape), &profiler, 10, true);
     }
     let after = engine_stats();
     assert_eq!(
@@ -229,9 +300,10 @@ fn mixed_op_queries_share_the_scratch_pool_safely() {
     let profiler = Profiler::new(tesla_p100(), 1);
     let gshape = GemmShape::new(256, 256, 256, "N", "N", DType::F32);
     let cshape = ConvShape::from_output(8, 7, 7, 64, 64, 3, 3, DType::F32);
-    let before = infer_gemm(&gemm_bundle, &gshape, &profiler, 10, true).expect("choice");
-    let _ = infer_conv(&conv_bundle, &cshape, &profiler, 10, true).expect("choice");
-    let after = infer_gemm(&gemm_bundle, &gshape, &profiler, 10, true).expect("choice");
+    let gemm = KeyShape::Gemm(gshape);
+    let before = engine(&gemm_bundle, gemm, &profiler, 10, true).expect("choice");
+    let _ = engine(&conv_bundle, KeyShape::Conv(cshape), &profiler, 10, true).expect("choice");
+    let after = engine(&gemm_bundle, gemm, &profiler, 10, true).expect("choice");
     assert_bit_identical(&before, &after, "interleaved conv query");
     let _ = inference::engine_stats();
 }
