@@ -6,7 +6,7 @@
 //! `crates/serve/README.md`):
 //!
 //! * **batched vs one-at-a-time throughput** -- the same cached query
-//!   mix pushed through the blocking wrappers one query at a time vs.
+//!   mix pushed through `submit(q).wait()` one query at a time vs.
 //!   through `submit_batch` with in-batch dedup;
 //! * **dedup ratio** -- the fraction of queries absorbed by in-batch
 //!   dedup plus single-flight joins (a contended cold key is raced by
@@ -32,7 +32,7 @@ use isaac_core::{
 use isaac_device::specs::tesla_p100;
 use isaac_device::DType;
 use isaac_gen::shapes::GemmShape;
-use isaac_serve::{Query, Served, SubmitOptions, TuneService, TunerRouter};
+use isaac_serve::{Decision, Query, Served, SubmitOptions, TuneService};
 use std::hint::black_box;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -110,6 +110,15 @@ fn eviction_pressure(policy: EvictionPolicy) -> (u64, f64) {
     (cache.stats().evictions, hits as f64 / accesses as f64)
 }
 
+/// Submit a batch and wait for every ticket, in query order.
+fn wait_batch(service: &TuneService, queries: &[Query]) -> Vec<Decision> {
+    service
+        .submit_batch(queries)
+        .iter()
+        .map(|ticket| ticket.wait())
+        .collect()
+}
+
 fn small_tuner() -> IsaacTuner {
     IsaacTuner::train(
         tesla_p100(),
@@ -133,24 +142,24 @@ fn serving_throughput(c: &mut Criterion) {
     source.save(&model_path).expect("save model");
     let clone = IsaacTuner::load(&model_path, tesla_p100(), OpKind::Gemm).expect("load model");
 
-    let mut router = TunerRouter::new();
-    router.add_shard(0, source);
-    let _ = router.add_shard(1, clone);
+    let fleet = TuneService::new();
+    fleet.add_shard(0, source);
+    fleet.add_shard(1, clone);
 
     // --- Cold tunes seed shard 0 (the warm-start baseline). ----------
     let t0 = Instant::now();
     for s in &shapes {
-        router.submit(&Query::gemm(0, *s));
+        fleet.submit(&Query::gemm(0, *s)).wait();
     }
     let cold_tune_s = t0.elapsed().as_secs_f64();
 
     // --- Warm-start shard 1 from shard 0, then serve the same mix. ---
     let t0 = Instant::now();
-    let warm = router
+    let warm = fleet
         .warm_start(1, 0, OpKind::Gemm, shapes.len())
         .expect("both shards exist");
     for s in &shapes {
-        router.submit(&Query::gemm(1, *s));
+        fleet.submit(&Query::gemm(1, *s)).wait();
     }
     let warm_start_s = t0.elapsed().as_secs_f64();
 
@@ -162,7 +171,7 @@ fn serving_throughput(c: &mut Criterion) {
         for _ in 0..racers {
             s.spawn(|| {
                 barrier.wait();
-                black_box(router.submit(&contended));
+                black_box(fleet.submit(&contended).wait());
             });
         }
     });
@@ -178,7 +187,7 @@ fn serving_throughput(c: &mut Criterion) {
         let t0 = Instant::now();
         for _ in 0..reps {
             for q in &mix {
-                black_box(router.submit(black_box(q)));
+                black_box(fleet.submit(black_box(q)).wait());
             }
         }
         f64::from(reps) * batch_size as f64 / t0.elapsed().as_secs_f64()
@@ -187,7 +196,7 @@ fn serving_throughput(c: &mut Criterion) {
         let reps = 2_000u32;
         let t0 = Instant::now();
         for _ in 0..reps {
-            black_box(router.submit_batch(black_box(&mix)));
+            black_box(wait_batch(&fleet, black_box(&mix)));
         }
         f64::from(reps) * batch_size as f64 / t0.elapsed().as_secs_f64()
     };
@@ -232,15 +241,14 @@ fn serving_throughput(c: &mut Criterion) {
         )
     };
 
-    // --- Ticket overhead on the cached path: submit(q).wait() through
-    //     the service vs the router wrapper's identical call above.
+    // --- Ticket overhead on the cached path: submit(q).wait() again,
+    //     a second sample of the one-at-a-time loop above.
     let async_cached_qps = {
-        let service = router.service();
         let reps = 2_000u32;
         let t0 = Instant::now();
         for _ in 0..reps {
             for q in &mix {
-                black_box(service.submit(black_box(q)).wait());
+                black_box(fleet.submit(black_box(q)).wait());
             }
         }
         f64::from(reps) * batch_size as f64 / t0.elapsed().as_secs_f64()
@@ -249,30 +257,19 @@ fn serving_throughput(c: &mut Criterion) {
     let (evictions, post_evict_hit_rate) = eviction_pressure(EvictionPolicy::CostAware);
     let (_, post_evict_hit_rate_lru) = eviction_pressure(EvictionPolicy::Lru);
 
-    // --- Background snapshotter: crash after the interval fires, ----
-    //     restart, and serve the snapshotted working set cold-free.
+    // --- Snapshot export: write every shard's base file, restart, ----
+    //     restore, and serve the snapshotted working set cold-free.
     let (snapshot_files, snapshot_entries, restored_cold_tunes) = {
         let dir = std::env::temp_dir().join("isaac_bench_snapshot");
         let _ = std::fs::remove_dir_all(&dir);
         let service = TuneService::new();
         let tuner = IsaacTuner::load(&model_path, tesla_p100(), OpKind::Gemm).expect("load model");
         service.add_shard(0, tuner);
-        service.enable_snapshots(&dir, Duration::from_millis(10));
         for s in &shapes {
             assert!(service.submit(&Query::gemm(0, *s)).wait().choice.is_some());
         }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while service
-            .last_snapshot()
-            .is_none_or(|r| r.entries != shapes.len())
-        {
-            assert!(Instant::now() < deadline, "snapshot interval never fired");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let report = service.last_snapshot().expect("background snapshot ran");
-        // Crash simulation: stop the snapshotter so the drop below does
-        // NOT flush -- only what the interval persisted survives.
-        service.disable_snapshots();
+        let report = service.snapshot_all(&dir).expect("snapshot");
+        assert_eq!(report.entries, shapes.len(), "every decision exported");
         drop(service);
 
         let restored = TuneService::new();
@@ -430,8 +427,8 @@ fn serving_throughput(c: &mut Criterion) {
     };
     let _ = std::fs::remove_file(&model_path);
 
-    let stats = router.stats();
-    let flights = router.flight_stats();
+    let stats = fleet.stats();
+    let flights = fleet.flight_stats();
     let threads = rayon::current_num_threads();
     let warm_start_speedup = cold_tune_s / warm_start_s;
 
@@ -509,7 +506,7 @@ fn serving_throughput(c: &mut Criterion) {
         &json,
         &[
             ("threads", threads.to_string()),
-            ("shards", router.devices().len().to_string()),
+            ("shards", fleet.devices().len().to_string()),
             ("batch_size", batch_size.to_string()),
             ("one_at_a_time_qps", format!("{one_at_a_time_qps:.1}")),
             ("batched_qps", format!("{batched_qps:.1}")),
@@ -581,19 +578,15 @@ fn serving_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving");
     group.sample_size(10);
     group.bench_function("cached_submit", |b| {
-        b.iter(|| black_box(router.submit(black_box(&hot))))
+        b.iter(|| black_box(fleet.submit(black_box(&hot)).wait()))
     });
     group.bench_function("cached_submit_batch_64", |b| {
-        b.iter(|| black_box(router.submit_batch(black_box(&mix))))
-    });
-    group.bench_function("cached_ticket_submit", |b| {
-        let service = router.service();
-        b.iter(|| black_box(service.submit(black_box(&hot)).wait()))
+        b.iter(|| black_box(wait_batch(&fleet, black_box(&mix))))
     });
     group.finish();
 
     // The cached path must never report a failure.
-    assert_eq!(router.submit(&hot).served, Served::Cache);
+    assert_eq!(fleet.submit(&hot).wait().served, Served::Cache);
 }
 
 criterion_group!(benches, serving_throughput);

@@ -26,7 +26,7 @@
 //! Hit/miss/eviction counters ([`IsaacTuner::cache_stats`]) feed the
 //! bench harness. Caches persist via `save_cache`/`load_cache`
 //! (device-tagged v2 text format, corrupt lines counted; a dirty bit
-//! lets the serving layer's background snapshotter skip clean shards),
+//! lets the serving layer's WAL compactor skip clean shards),
 //! and a fresh device can be [`IsaacTuner::warm_start`]ed from a
 //! neighbour's decisions by re-benchmarking them instead of
 //! cold-tuning.
@@ -408,7 +408,8 @@ impl TuneKey {
 
 /// A concrete input shape reconstructed from a [`TuneKey`] -- the
 /// op-agnostic shape currency the generic tuning and serving paths
-/// traffic in (see [`crate::ops::OpFamily`]).
+/// traffic in (each op family in the crate-private `ops` module builds
+/// and consumes one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyShape {
     /// A GEMM input.
@@ -786,8 +787,9 @@ impl std::fmt::Debug for RaceHook {
 /// The write paths carry declared race points for the deterministic
 /// interleaving harness ([`TuneCache::set_race_hook`]); the hit path
 /// has none. The cache also carries a **dirty bit** (set by every
-/// mutation, cleared by [`IsaacTuner::save_cache`]) so a background
-/// snapshotter can skip shards whose persisted state is current.
+/// mutation, cleared by [`TuneCache::mark_clean`]) so the serving
+/// layer's WAL compactor can skip shards whose persisted state is
+/// current.
 #[derive(Debug)]
 pub struct TuneCache {
     /// Hash-partitioned segments; length is a power of two.
@@ -998,8 +1000,8 @@ impl TuneCache {
     }
 
     /// Whether the cache has been mutated since it was last persisted
-    /// ([`IsaacTuner::save_cache`] clears this). The background
-    /// snapshotter in `isaac-serve` uses it to skip clean shards.
+    /// ([`TuneCache::mark_clean`] clears this). The WAL compactor in
+    /// `isaac-serve` clears it and uses it to skip clean shards.
     pub fn is_dirty(&self) -> bool {
         self.dirty.load(Ordering::Acquire)
     }
@@ -1162,12 +1164,12 @@ impl TuneCache {
             self.race("insert.journaled");
         }
         // Dirty only once the entry is in the map, while still holding
-        // the write lock: a concurrent `save_cache` either reads its
+        // the write lock: a concurrent compaction either reads its
         // entries after this insert (its `mark_clean` is then correct)
         // or cleared the bit before we set it here, in which case this
-        // re-dirty guarantees the next snapshot picks the entry up.
-        // Marking *before* taking the lock would let that save clear
-        // the bit, read the map without the entry, and leave an
+        // re-dirty guarantees the next compaction picks the entry up.
+        // Marking *before* taking the lock would let that compaction
+        // clear the bit, read the map without the entry, and leave an
         // unpersisted decision on a "clean" cache.
         self.mark_dirty();
     }
@@ -1756,20 +1758,17 @@ impl IsaacTuner {
     /// measurement. The header records the device ordinal the decisions
     /// were made on (provenance for cross-device warm-start).
     ///
-    /// A successful save clears the cache's dirty bit (see
-    /// [`TuneCache::is_dirty`]). The bit is cleared *before* the
-    /// entries are read, so a decision published concurrently with the
-    /// write re-dirties the cache and is picked up by the next
-    /// snapshot instead of being lost.
+    /// A pure export: the dirty bit is untouched (see
+    /// [`TuneCache::is_dirty`]), so saving a copy never hides unpersisted
+    /// decisions from the serving layer's compactor.
     pub fn save_cache(&self, path: &Path) -> std::io::Result<()> {
-        self.cache.mark_clean();
-        std::fs::write(path, self.cache_text()).inspect_err(|_| self.cache.mark_dirty())
+        std::fs::write(path, self.cache_text())
     }
 
     /// The cache's persisted form as in-memory text: the v2 header plus
     /// one `format_cache_line` row per entry. A pure snapshot -- the
     /// dirty bit is untouched; [`IsaacTuner::save_cache`] and the
-    /// serving layer's WAL compactor (which routes the write through
+    /// serving layer's base-file writer (which routes the write through
     /// its injectable I/O) both build their bytes here.
     pub fn cache_text(&self) -> String {
         let mut text = format!("isaac-kernel-cache v2 device {}\n", self.device_id);

@@ -1,7 +1,7 @@
 //! Query/decision types of the serving front door, and in-batch
 //! deduplication.
 //!
-//! A [`Query`] names a device shard and an input shape; the router
+//! A [`Query`] names a device shard and an input shape; the service
 //! resolves it to a [`Decision`]. [`plan`] computes the dedup structure
 //! of a batch: duplicate queries (same [`TuneKey`], i.e. same device,
 //! operation, dtype and shape) are resolved once and fanned back out to

@@ -6,7 +6,7 @@
 //!
 //! * `shard-<dev>-<op>.cache` -- the **base**: the shard's full
 //!   decision set in the v2 cache format, rewritten only by compaction
-//!   (via temp-file + atomic rename).
+//!   (via temp-file + atomic rename, `write_base`).
 //! * `shard-<dev>-<op>.wal` -- the **delta log**: one CRC32-framed
 //!   record per cache mutation since the base was written, appended by
 //!   the [`isaac_core::WalWriter`] journal attached to the shard's
@@ -19,6 +19,11 @@
 //! those two files recoverable; the invariants are spelled out in
 //! `docs/DURABILITY.md` and exercised point-by-point by the chaos
 //! suite (`crates/serve/tests/chaos.rs`).
+//!
+//! This is the one on-disk format: [`crate::TuneService::snapshot_all`]
+//! exports base files through the same `write_base`, and a directory
+//! of base files without logs is what `recover_shard` reads for
+//! [`crate::TuneService::restore_all`].
 
 use crate::service::snapshot_file_name;
 use isaac_core::durability::{decode_wal, DurabilityIo, WalWriter};
@@ -42,6 +47,8 @@ pub fn parse_wal_file_name(name: &str) -> Option<(u16, OpKind)> {
 /// Per-shard outcome of [`recover_shard`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ShardRecovery {
+    /// Whether a base cache file was found.
+    pub base: bool,
     /// Entries merged from the base cache file.
     pub loaded: usize,
     /// WAL records replayed on top of the base.
@@ -53,6 +60,28 @@ pub(crate) struct ShardRecovery {
     pub skipped: usize,
 }
 
+/// Write one shard's base file under `dir`: its full decision set in
+/// the v2 cache format, written to a temp file and atomically renamed
+/// over `shard-<dev>-<op>.cache`, so a crash mid-write leaves the old
+/// base intact. Returns the number of entries written. The dirty bit is
+/// the caller's business: compaction clears it, an export leaves it.
+pub(crate) fn write_base(
+    io: &dyn DurabilityIo,
+    dir: &Path,
+    device: u16,
+    op: OpKind,
+    tuner: &IsaacTuner,
+) -> io::Result<usize> {
+    let base = dir.join(snapshot_file_name(device, op));
+    let tmp = dir.join(format!("{}.tmp", snapshot_file_name(device, op)));
+    let text = tuner.cache_text();
+    io.crash_point("compact.write")?;
+    io.write_file(&tmp, text.as_bytes())?;
+    io.crash_point("compact.rename")?;
+    io.rename(&tmp, &base)?;
+    Ok(text.lines().count().saturating_sub(1))
+}
+
 /// Compact one shard: persist its full decision set as the new base
 /// file and shrink the WAL to whatever was appended after the state
 /// read. Returns the number of entries persisted.
@@ -61,9 +90,9 @@ pub(crate) struct ShardRecovery {
 ///
 /// 1. The WAL length is sampled under the append lock (`pre_len`): every
 ///    record at or below it is about to be covered by the new base.
-/// 2. The base is written to a temp file and atomically renamed into
-///    place -- a crash mid-write leaves the *old* base plus the intact
-///    log, which replays to the exact pre-crash state.
+/// 2. The base is rewritten by [`write_base`] -- a crash mid-write
+///    leaves the *old* base plus the intact log, which replays to the
+///    exact pre-crash state.
 /// 3. The WAL keeps only the bytes past `pre_len` (records that raced
 ///    in during the write), again via temp + rename under the append
 ///    lock. A crash before this step leaves the new base plus the full
@@ -71,9 +100,10 @@ pub(crate) struct ShardRecovery {
 ///    (see [`isaac_core::TuneCache::apply`]): every key ends at its
 ///    last-record state, which the new base already has.
 ///
-/// The dirty bit is cleared before the state read (exactly like
-/// `IsaacTuner::save_cache`) and restored on any I/O error so the shard
-/// is retried next interval.
+/// Compaction is the only place the dirty bit is cleared: before the
+/// state read, so a decision published during the write re-dirties the
+/// shard, and restored on any I/O error so the shard is retried next
+/// interval.
 pub(crate) fn compact_shard(
     io: &dyn DurabilityIo,
     dir: &Path,
@@ -83,18 +113,11 @@ pub(crate) fn compact_shard(
     writer: &WalWriter,
 ) -> io::Result<usize> {
     let wal = dir.join(wal_file_name(device, op));
-    let base = dir.join(snapshot_file_name(device, op));
-    let tmp = dir.join(format!("{}.tmp", snapshot_file_name(device, op)));
     let wal_tmp = dir.join(format!("{}.tmp", wal_file_name(device, op)));
     let result = (|| {
         let pre_len = writer.with_appends_excluded(|| io.file_len(&wal).unwrap_or(0));
         tuner.cache().mark_clean();
-        let text = tuner.cache_text();
-        let entries = text.lines().count().saturating_sub(1);
-        io.crash_point("compact.write")?;
-        io.write_file(&tmp, text.as_bytes())?;
-        io.crash_point("compact.rename")?;
-        io.rename(&tmp, &base)?;
+        let entries = write_base(io, dir, device, op, tuner)?;
         io.crash_point("compact.pre_truncate")?;
         writer.with_appends_excluded(|| -> io::Result<()> {
             let post_len = io.file_len(&wal).unwrap_or(0);
@@ -137,6 +160,7 @@ pub(crate) fn recover_shard(
     let mut recovery = ShardRecovery::default();
     let base = dir.join(snapshot_file_name(device, op));
     if io.file_len(&base).is_ok() {
+        recovery.base = true;
         let text = String::from_utf8_lossy(&io.read(&base)?).into_owned();
         let report = tuner.load_cache_text(&text)?;
         recovery.loaded = report.loaded;

@@ -16,13 +16,17 @@
 //! * shard lifecycle is part of the API: [`TuneService::add_shard`] /
 //!   [`TuneService::remove_shard`] / [`TuneService::replace_shard`]
 //!   hot-swap devices (a removed shard *fails* its pending tickets
-//!   rather than stranding them), [`TuneService::snapshot_all`] /
-//!   [`TuneService::restore_all`] persist and reload every shard's
-//!   decision cache, and [`TuneService::warm_start`] seeds a fresh
-//!   shard from a neighbour's decisions;
+//!   rather than stranding them), and [`TuneService::warm_start`] seeds
+//!   a fresh shard from a neighbour's decisions;
+//! * the fleet persists its caches one way: [`TuneService::enable_durability`]
+//!   journals every decision to a per-shard write-ahead log as it is
+//!   published and compacts the logs into base files on an interval
+//!   (plus once on shutdown), and [`TuneService::recover_all`] boots
+//!   the next process from them ([`durability`] has the protocol).
+//!   [`TuneService::snapshot_all`] exports the same base files to
+//!   another directory and [`TuneService::restore_all`] reads them back
+//!   through `recover_all`;
 //! * the fleet maintains its own cache lifecycle:
-//!   [`TuneService::enable_snapshots`] persists dirty shards on an
-//!   interval (plus a final flush on shutdown),
 //!   [`TuneService::submit_with`] bounds a ticket with a deadline
 //!   ([`Served::TimedOut`]), fully-dropped pre-start tickets cancel
 //!   their queued job, and shard caches evict cost-aware
@@ -44,16 +48,13 @@
 //!   journaled) while background repairs upgrade each degraded key to
 //!   a real tuned decision; faults inject deterministically through
 //!   the [`TuneFault`] seam ([`FaultTuner`]) for the seeded serving
-//!   chaos suite;
-//! * [`TunerRouter`] survives as the deprecated blocking facade from
-//!   PR 2 (`submit(q)` == `service.submit(q).wait()`), kept so existing
-//!   callers compile while they migrate.
+//!   chaos suite.
 //!
 //! Decision caches are the size-bounded LRU [`isaac_core::TuneCache`]s
 //! owned by each tuner; `cargo bench -p isaac-bench --bench serving`
 //! tracks batched throughput, in-flight multiplexing and queue latency
 //! in `BENCH_serving.json`. See `crates/serve/README.md` for the
-//! architecture sketch and the migration notes.
+//! architecture sketch.
 
 pub(crate) mod admission;
 pub mod batch;
@@ -61,7 +62,6 @@ pub mod durability;
 pub mod fault;
 pub mod health;
 pub mod load;
-pub mod router;
 pub mod service;
 pub mod single_flight;
 pub mod stats;
@@ -74,7 +74,6 @@ pub use durability::{parse_wal_file_name, wal_file_name};
 pub use fault::{FaultKind, FaultTuner, TuneFault};
 pub use health::{BreakerConfig, BreakerState, QuarantineConfig};
 pub use load::{LoadReport, LoadRequest, ReplayOptions, TenantLoad, Trace, TraceConfig};
-pub use router::TunerRouter;
 pub use service::{
     parse_snapshot_file_name, snapshot_file_name, RetryPolicy, SnapshotReport, SubmitOptions,
     TuneService,

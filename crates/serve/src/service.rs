@@ -1,12 +1,11 @@
 //! The async-first serving front door.
 //!
-//! [`TuneService`] is the poll/notify redesign of the blocking
-//! [`crate::TunerRouter`] API: [`TuneService::submit`] returns a
-//! [`TuneTicket`] *immediately* -- cache hits and shard refusals come
-//! back pre-resolved, misses enqueue a job on the worker pool and
-//! resolve through the waker-driven single-flight table -- so one OS
-//! thread can keep hundreds of heterogeneous shape queries in flight
-//! while the pool grinds through the cold tunes.
+//! [`TuneService::submit`] returns a [`TuneTicket`] *immediately* --
+//! cache hits and shard refusals come back pre-resolved, misses enqueue
+//! a job on the worker pool and resolve through the waker-driven
+//! single-flight table -- so one OS thread can keep hundreds of
+//! heterogeneous shape queries in flight while the pool grinds through
+//! the cold tunes.
 //!
 //! ```text
 //!  submit/submit_batch ──► fast path (shard map + TuneCache) ──► Ready ticket
@@ -23,19 +22,24 @@
 //! run at any time, and a removed/replaced shard **fails its pending
 //! tickets** (decision `Served::Failed`) instead of stranding them --
 //! completion semantics and shard semantics are one contract. Whole-fleet
-//! persistence rides on the same lifecycle: [`TuneService::snapshot_all`]
-//! writes every shard's decision cache as a device-tagged v2 cache file
-//! and [`TuneService::restore_all`] reloads them into a freshly built
-//! service, so a restart serves its old working set from cache instead of
-//! re-tuning it.
+//! persistence rides on the same lifecycle, in one on-disk format (a
+//! `shard-<dev>-<op>.cache` base file per shard, plus a
+//! `shard-<dev>-<op>.wal` log in durability mode):
 //!
-//! Since PR 5 the fleet is **self-maintaining** across that lifecycle:
+//! * [`TuneService::enable_durability`] journals every cache mutation to
+//!   the shard's WAL as it happens and compacts the logs into the base
+//!   files on an interval, in the queue's idle gaps, and once more on
+//!   shutdown; [`TuneService::recover_all`] boots the next process from
+//!   the base files and the logs (progress in [`RouterStats::snapshots`]
+//!   and [`TuneService::last_snapshot`]);
+//! * [`TuneService::snapshot_all`] exports every shard's base file to
+//!   another directory, and [`TuneService::restore_all`] (which is
+//!   `recover_all`) reloads such a directory into a freshly built
+//!   service, so a restart serves its old working set from cache
+//!   instead of re-tuning it.
 //!
-//! * [`TuneService::enable_snapshots`] runs an interval snapshotter on
-//!   the existing worker pool -- dirty shards are persisted in the
-//!   queue's idle gaps and once more on shutdown, so a crash loses at
-//!   most one interval of tuning work (progress in
-//!   [`RouterStats::snapshots`] and [`TuneService::last_snapshot`]);
+//! The rest of the lifecycle:
+//!
 //! * [`TuneService::submit_with`] bakes a **deadline** into the ticket:
 //!   a bounded waiter resolves to [`Served::TimedOut`] without
 //!   poisoning the flight for its other waiters;
@@ -88,7 +92,7 @@
 
 use crate::admission::{Admission, TenantSlot, TenantStats};
 use crate::batch::{plan, Decision, Query, QueryShape, Served};
-use crate::durability::{compact_shard, gc_orphans, recover_shard, wal_file_name};
+use crate::durability::{compact_shard, gc_orphans, recover_shard, wal_file_name, write_base};
 use crate::fault::{FaultKind, TuneFault};
 use crate::health::{
     BreakerConfig, BreakerEvent, BreakerState, DegradedLedger, Gate, QuarantineConfig, ShardHealth,
@@ -184,45 +188,38 @@ pub struct SubmitOptions {
     pub tenant: u16,
 }
 
-/// Schedule of the background snapshotter (see
-/// [`TuneService::enable_snapshots`]).
-#[derive(Debug)]
-struct SnapshotSchedule {
-    dir: PathBuf,
-    interval: Duration,
-    next_due: Instant,
-    last: Option<SnapshotReport>,
-    /// `true`: the interval work is WAL compaction
-    /// ([`TuneService::enable_durability`]); `false`: the PR 5
-    /// whole-file dirty-shard snapshot.
-    wal: bool,
-}
-
 /// Live write-ahead durability state
 /// ([`TuneService::enable_durability`]): the directory, the I/O layer
-/// every durability operation routes through, and one journal writer
-/// per registered `(device, op)` shard.
+/// every durability operation routes through, one journal writer per
+/// registered `(device, op)` shard, and the compaction schedule.
 struct WalState {
     dir: PathBuf,
     io: Arc<dyn DurabilityIo>,
     writers: HashMap<(u16, OpKind), Arc<WalWriter>>,
+    /// The compaction interval and its next tick; `None` once
+    /// [`TuneService::disable_snapshots`] stopped the schedule (the
+    /// journal keeps appending).
+    schedule: Option<(Duration, Instant)>,
+    /// The most recent compaction sweep's report.
+    last: Option<SnapshotReport>,
 }
 
-/// Aggregate outcome of [`TuneService::snapshot_all`] /
-/// [`TuneService::restore_all`].
+/// Aggregate outcome of [`TuneService::snapshot_all`], a compaction
+/// sweep or [`TuneService::recover_all`] (which
+/// [`TuneService::restore_all`] is).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotReport {
-    /// Cache files written (snapshot/compaction) or read
-    /// (restore/recovery).
+    /// Base files written (snapshot/compaction), or shards that found a
+    /// base file or replayed a WAL record (recovery).
     pub files: usize,
-    /// Decisions persisted (snapshot) or merged from base files
-    /// (restore/recovery).
+    /// Decisions persisted (snapshot/compaction) or merged from base
+    /// files (recovery).
     pub entries: usize,
     /// Malformed / wrong-operation lines or records skipped during
-    /// restore/recovery -- silent cache shrinkage made visible.
+    /// recovery -- silent cache shrinkage made visible.
     pub skipped: usize,
-    /// Files whose `(device, op)` has no registered shard to restore
-    /// into (restore/recovery only).
+    /// Files whose `(device, op)` has no registered shard to recover
+    /// into (recovery only).
     pub unmatched: usize,
     /// WAL records replayed on top of base files (recovery only).
     pub replayed: usize,
@@ -262,10 +259,6 @@ struct ServiceCore {
     tickets: Arc<OpenTickets>,
     /// Per-tenant admission quotas; see [`crate::TenantStats`].
     admission: Admission,
-    /// Background snapshotter schedule; `None` until
-    /// [`TuneService::enable_snapshots`] /
-    /// [`TuneService::enable_durability`].
-    snapshots: Mutex<Option<SnapshotSchedule>>,
     /// Write-ahead durability state; `None` until
     /// [`TuneService::enable_durability`].
     wal: Mutex<Option<WalState>>,
@@ -568,57 +561,52 @@ impl ServiceCore {
     }
 
     /// Worker loop body: drain the queue until shutdown, running the
-    /// background snapshotter in the idle gaps when one is scheduled.
+    /// compaction interval in the idle gaps when one is scheduled.
     fn work(self: &Arc<Self>) {
         loop {
-            match self.queue.pop_until(|| self.snapshot_deadline()) {
+            match self.queue.pop_until(|| self.compaction_deadline()) {
                 Popped::Job(job) => self.run_job(*job),
                 Popped::Background(bg) => self.run_background(bg),
-                Popped::Deadline => self.run_due_snapshot(),
+                Popped::Deadline => self.run_due_compaction(),
                 Popped::Shutdown => return,
             }
         }
     }
 
-    /// The next instant the snapshotter wants a worker to wake, if
-    /// scheduled.
-    fn snapshot_deadline(&self) -> Option<Instant> {
-        self.snapshots
-            .lock()
-            .expect("snapshot schedule poisoned")
-            .as_ref()
-            .map(|s| s.next_due)
+    /// The next instant the compaction interval wants a worker to
+    /// wake, if scheduled.
+    fn compaction_deadline(&self) -> Option<Instant> {
+        let wal = self.wal.lock().expect("wal state poisoned");
+        wal.as_ref()?.schedule.map(|(_, next_due)| next_due)
     }
 
-    /// Run the interval snapshot if it is due. Exactly one worker wins
-    /// the race: the schedule's `next_due` is advanced *before* the
-    /// (lock-free) disk write, so everyone else sees a future deadline
-    /// and goes back to sleep.
-    fn run_due_snapshot(self: &Arc<Self>) {
-        let (dir, wal_mode) = {
-            let mut schedule = self.snapshots.lock().expect("snapshot schedule poisoned");
-            match schedule.as_mut() {
-                Some(s) if Instant::now() >= s.next_due => {
-                    s.next_due = Instant::now() + s.interval;
-                    (s.dir.clone(), s.wal)
+    /// Run the interval compaction if it is due. Exactly one worker wins
+    /// the race: the next tick is scheduled *before* the (lock-free)
+    /// sweep, so everyone else sees a future deadline and goes back to
+    /// sleep.
+    fn run_due_compaction(&self) {
+        {
+            let mut wal = self.wal.lock().expect("wal state poisoned");
+            match wal.as_mut().and_then(|s| s.schedule.as_mut()) {
+                Some((interval, next_due)) if Instant::now() >= *next_due => {
+                    *next_due = Instant::now() + *interval;
                 }
                 _ => return,
             }
-        };
-        let outcome = if wal_mode {
-            self.run_compaction_sweep(&dir)
-        } else {
-            self.snapshot_shards(&dir, true)
-        };
+        }
+        self.count_sweep(self.run_compaction_sweep());
+    }
+
+    /// Count one interval or shutdown sweep. An all-clean fleet writes
+    /// no files and counts nothing: the tick is free while nothing
+    /// tunes.
+    fn count_sweep(&self, outcome: std::io::Result<SnapshotReport>) {
         match outcome {
-            // An all-clean fleet writes no files and counts no
-            // snapshot: the interval tick is free while nothing tunes.
             Ok(report) if report.files == 0 => {}
             Ok(report) => {
                 bump(&self.counters.snapshots, 1);
                 bump(&self.counters.snapshot_entries, report.entries as u64);
-                let mut schedule = self.snapshots.lock().expect("snapshot schedule poisoned");
-                if let Some(s) = schedule.as_mut() {
+                if let Some(s) = self.wal.lock().expect("wal state poisoned").as_mut() {
                     s.last = Some(report);
                 }
             }
@@ -638,34 +626,6 @@ impl ServiceCore {
                     .map(move |(&op, t)| (device, op, Arc::clone(t)))
             })
             .collect()
-    }
-
-    /// Persist shard caches under `dir` (created if missing), one
-    /// device-tagged v2 cache file per `(device, op)` shard. With
-    /// `only_dirty`, shards whose caches are unchanged since their last
-    /// save are skipped -- their file on disk is already current -- so
-    /// an idle fleet's snapshot interval costs nothing.
-    fn snapshot_shards(&self, dir: &Path, only_dirty: bool) -> std::io::Result<SnapshotReport> {
-        std::fs::create_dir_all(dir)?;
-        let mut report = SnapshotReport::default();
-        for (device, op, tuner) in self.shard_list() {
-            if only_dirty && !tuner.cache().is_dirty() {
-                continue;
-            }
-            tuner.save_cache(&dir.join(snapshot_file_name(device, op)))?;
-            report.files += 1;
-            report.entries += tuner.cache_len();
-        }
-        Ok(report)
-    }
-
-    /// The I/O layer durability routes through, when enabled.
-    fn wal_io(&self) -> Option<Arc<dyn DurabilityIo>> {
-        self.wal
-            .lock()
-            .expect("wal state poisoned")
-            .as_ref()
-            .map(|s| Arc::clone(&s.io))
     }
 
     /// The shard's WAL writer, created on first use (durability mode
@@ -718,11 +678,15 @@ impl ServiceCore {
     /// (dirty cache or non-empty WAL) into a fresh base file, then
     /// sweep the directory for orphans of unregistered shards and
     /// `.tmp` leftovers of crashed compactions.
-    fn run_compaction_sweep(&self, dir: &Path) -> std::io::Result<SnapshotReport> {
-        let Some(io) = self.wal_io() else {
-            return Ok(SnapshotReport::default());
-        };
-        io.create_dir_all(dir)?;
+    fn run_compaction_sweep(&self) -> std::io::Result<SnapshotReport> {
+        let (dir, io) = self
+            .wal
+            .lock()
+            .expect("wal state poisoned")
+            .as_ref()
+            .map(|s| (s.dir.clone(), Arc::clone(&s.io)))
+            .ok_or_else(|| std::io::Error::other("durability is not enabled"))?;
+        io.create_dir_all(&dir)?;
         let mut report = SnapshotReport::default();
         let shards = self.shard_list();
         for (device, op, tuner) in &shards {
@@ -735,12 +699,12 @@ impl ServiceCore {
             if !tuner.cache().is_dirty() && wal_len == 0 {
                 continue;
             }
-            let entries = compact_shard(io.as_ref(), dir, *device, *op, tuner, &writer)?;
+            let entries = compact_shard(io.as_ref(), &dir, *device, *op, tuner, &writer)?;
             report.files += 1;
             report.entries += entries;
             bump(&self.counters.compactions, 1);
         }
-        report.gc_removed = gc_orphans(io.as_ref(), dir, |device, op| {
+        report.gc_removed = gc_orphans(io.as_ref(), &dir, |device, op| {
             shards.iter().any(|(d, o, _)| *d == device && *o == op)
         });
         bump(&self.counters.gc_removed, report.gc_removed as u64);
@@ -1071,7 +1035,6 @@ impl TuneService {
             gauges: Gauges::default(),
             tickets: Arc::new(OpenTickets::default()),
             admission: Admission::default(),
-            snapshots: Mutex::new(None),
             wal: Mutex::new(None),
             last_recovery: Mutex::new(None),
             retry: RwLock::new(RetryPolicy::default()),
@@ -1382,50 +1345,23 @@ impl TuneService {
         tickets
     }
 
-    // ---- snapshot / restore ----------------------------------------------
+    // ---- persistence ------------------------------------------------------
 
-    /// Persist every shard's decision cache under `dir` (created if
-    /// missing), one device-tagged v2 cache file per `(device, op)`
-    /// shard, named [`snapshot_file_name`]. Pair with
-    /// [`TuneService::restore_all`] on the next boot so the restarted
-    /// service serves its old working set from cache. For hands-off
-    /// periodic persistence, see [`TuneService::enable_snapshots`].
+    /// Export every shard's decision cache under `dir` (created if
+    /// missing): one device-tagged v2 base file per `(device, op)`
+    /// shard, named [`snapshot_file_name`] and written by the same
+    /// temp-file + atomic-rename step as compaction. A pure export: the
+    /// shards' dirty bits are untouched, so a decision not yet in the
+    /// live WAL directory still reaches it at the next compaction.
+    /// Reload the directory with [`TuneService::restore_all`].
     pub fn snapshot_all(&self, dir: &Path) -> std::io::Result<SnapshotReport> {
-        self.core.snapshot_shards(dir, false)
-    }
-
-    /// Start (or reschedule) the **background snapshotter**: every
-    /// `interval`, a worker from the miss-queue pool persists the
-    /// caches of *dirty* shards under `dir` -- shards untouched since
-    /// their last save are skipped, so an idle fleet writes nothing.
-    /// Dropping the service runs one final flush of whatever is still
-    /// dirty, so a clean shutdown loses no tuning work and a crash
-    /// loses at most one interval's worth.
-    ///
-    /// Snapshots ride on the existing worker pool (no extra thread): a
-    /// worker that finds the queue idle past the deadline runs the
-    /// snapshot; under sustained load the write happens between jobs.
-    /// Progress is visible in [`RouterStats::snapshots`] /
-    /// [`RouterStats::snapshot_entries`] /
-    /// [`RouterStats::snapshot_errors`] and
-    /// [`TuneService::last_snapshot`].
-    pub fn enable_snapshots(&self, dir: impl Into<PathBuf>, interval: Duration) {
-        {
-            let mut schedule = self
-                .core
-                .snapshots
-                .lock()
-                .expect("snapshot schedule poisoned");
-            *schedule = Some(SnapshotSchedule {
-                dir: dir.into(),
-                interval,
-                next_due: Instant::now() + interval,
-                last: None,
-                wal: false,
-            });
+        StdIo.create_dir_all(dir)?;
+        let mut report = SnapshotReport::default();
+        for (device, op, tuner) in self.core.shard_list() {
+            report.entries += write_base(&StdIo, dir, device, op, &tuner)?;
+            report.files += 1;
         }
-        // Wake the pool so sleeping workers pick up the new deadline.
-        self.core.queue.kick();
+        Ok(report)
     }
 
     /// Switch the fleet to **write-ahead durability**: every shard's
@@ -1433,10 +1369,9 @@ impl TuneService {
     /// record appended to `shard-<dev>-<op>.wal` under `dir` *at the
     /// moment it happens*, and the interval work becomes **compaction**
     /// -- folding the log into the shard's base cache file and
-    /// truncating it -- instead of a whole-file rewrite. A crash
-    /// therefore loses at most the one record being appended (whose
-    /// ticket never resolved), not a full interval of decisions; boot
-    /// the next process with [`TuneService::recover_all`].
+    /// truncating it. A crash therefore loses at most the one record
+    /// being appended (whose ticket never resolved); boot the next
+    /// process with [`TuneService::recover_all`].
     ///
     /// Appends are on the publish path but *off* the query path: a hit
     /// touches no I/O, and an append failure (flaky disk) never fails
@@ -1444,9 +1379,15 @@ impl TuneService {
     /// [`RouterStats::wal_append_errors`] and the decision stays
     /// served from memory until a later compaction persists it.
     ///
-    /// Compaction rides the worker pool exactly like
-    /// [`TuneService::enable_snapshots`] (whose schedule this
-    /// replaces), and the shutdown flush compacts one final time.
+    /// Compaction rides the worker pool (no extra thread): a worker
+    /// that finds the queue idle past the interval compacts every shard
+    /// whose state moved; under sustained load the sweep runs between
+    /// jobs. Dropping the service compacts one final time (unless
+    /// [`TuneService::disable_snapshots`] stopped the schedule).
+    /// Progress is visible in [`RouterStats::snapshots`] /
+    /// [`RouterStats::compactions`] / [`RouterStats::snapshot_errors`]
+    /// and [`TuneService::last_snapshot`]. Calling this again replaces
+    /// the directory, the I/O layer and the interval.
     pub fn enable_durability(&self, dir: impl Into<PathBuf>, interval: Duration) {
         self.enable_durability_with(dir, interval, Arc::new(StdIo));
     }
@@ -1465,31 +1406,17 @@ impl TuneService {
         // Best-effort: appends create files on demand, but the
         // directory must exist before the first one.
         let _ = io.create_dir_all(&dir);
-        {
-            let mut wal = self.core.wal.lock().expect("wal state poisoned");
-            *wal = Some(WalState {
-                dir: dir.clone(),
-                io,
-                writers: HashMap::new(),
-            });
-        }
+        *self.core.wal.lock().expect("wal state poisoned") = Some(WalState {
+            dir,
+            io,
+            writers: HashMap::new(),
+            schedule: Some((interval, Instant::now() + interval)),
+            last: None,
+        });
         for (device, op, tuner) in self.core.shard_list() {
             self.core.attach_journal(device, op, &tuner);
         }
-        {
-            let mut schedule = self
-                .core
-                .snapshots
-                .lock()
-                .expect("snapshot schedule poisoned");
-            *schedule = Some(SnapshotSchedule {
-                dir,
-                interval,
-                next_due: Instant::now() + interval,
-                last: None,
-                wal: true,
-            });
-        }
+        // Wake the pool so parked workers pick up the new deadline.
         self.core.queue.kick();
     }
 
@@ -1498,21 +1425,8 @@ impl TuneService {
     /// base file and a truncated log, and orphaned persistence files
     /// are GC'd. What the background interval does, on demand.
     pub fn compact_now(&self) -> std::io::Result<SnapshotReport> {
-        let dir = self
-            .core
-            .wal
-            .lock()
-            .expect("wal state poisoned")
-            .as_ref()
-            .map(|s| s.dir.clone())
-            .ok_or_else(|| std::io::Error::other("durability is not enabled"))?;
-        let report = self.core.run_compaction_sweep(&dir)?;
-        let mut schedule = self
-            .core
-            .snapshots
-            .lock()
-            .expect("snapshot schedule poisoned");
-        if let Some(s) = schedule.as_mut() {
+        let report = self.core.run_compaction_sweep()?;
+        if let Some(s) = self.core.wal.lock().expect("wal state poisoned").as_mut() {
             s.last = Some(report);
         }
         Ok(report)
@@ -1527,6 +1441,10 @@ impl TuneService {
     /// [`RouterStats::recovery_torn_records`] /
     /// [`RouterStats::recovery_skipped_records`], so a flaky disk shows
     /// up in stats instead of as silent cache shrinkage.
+    ///
+    /// A directory written by [`TuneService::snapshot_all`] is a
+    /// durability directory without logs, so this also restores
+    /// snapshots ([`TuneService::restore_all`] is this call).
     ///
     /// Call before [`TuneService::enable_durability`]: shards must not
     /// be journaling while their own log is replayed into them.
@@ -1545,7 +1463,7 @@ impl TuneService {
         let shards = self.core.shard_list();
         for (device, op, tuner) in &shards {
             let recovery = recover_shard(io, dir, *device, *op, tuner)?;
-            if recovery.loaded > 0 || recovery.replayed > 0 {
+            if recovery.base || recovery.replayed > 0 {
                 report.files += 1;
             }
             report.entries += recovery.loaded;
@@ -1582,65 +1500,46 @@ impl TuneService {
         Ok(report)
     }
 
-    /// Stop the background snapshotter **without** a final flush --
-    /// anything dirty stays unpersisted (this is how the crash tests
-    /// simulate losing the tail interval). Returns the last completed
-    /// background report, if any. A clean shutdown does not need this:
-    /// dropping the service flushes by itself.
+    /// Stop the compaction interval **without** a final compaction on
+    /// drop -- the shards keep journaling, but whatever the last sweep
+    /// did not fold in stays in the logs (this is how the crash tests
+    /// simulate a killed process). Returns the last sweep's report, if
+    /// any. A clean shutdown does not need this: dropping the service
+    /// compacts by itself.
     pub fn disable_snapshots(&self) -> Option<SnapshotReport> {
-        self.core
-            .snapshots
-            .lock()
-            .expect("snapshot schedule poisoned")
-            .take()
-            .and_then(|s| s.last)
+        let mut wal = self.core.wal.lock().expect("wal state poisoned");
+        let state = wal.as_mut()?;
+        state.schedule = None;
+        state.last.take()
     }
 
-    /// The report of the most recent completed background snapshot or
-    /// compaction sweep, falling back to the most recent
-    /// [`TuneService::recover_all`] report (so recovery's corruption
-    /// counts stay inspectable after boot). `None` until one of them
-    /// has run.
+    /// The report of the most recent compaction sweep, falling back to
+    /// the most recent [`TuneService::recover_all`] report (so
+    /// recovery's corruption counts stay inspectable after boot).
+    /// `None` until one of them has run.
     pub fn last_snapshot(&self) -> Option<SnapshotReport> {
-        self.core
-            .snapshots
+        let last = self
+            .core
+            .wal
             .lock()
-            .expect("snapshot schedule poisoned")
+            .expect("wal state poisoned")
             .as_ref()
-            .and_then(|s| s.last)
-            .or_else(|| {
-                *self
-                    .core
-                    .last_recovery
-                    .lock()
-                    .expect("recovery report poisoned")
-            })
+            .and_then(|s| s.last);
+        last.or_else(|| {
+            *self
+                .core
+                .last_recovery
+                .lock()
+                .expect("recovery report poisoned")
+        })
     }
 
-    /// Load every snapshot file in `dir` (written by
-    /// [`TuneService::snapshot_all`]) into the matching registered
-    /// shard. Files for unregistered `(device, op)` pairs are counted in
-    /// [`SnapshotReport::unmatched`]; malformed lines inside a file are
-    /// counted in [`SnapshotReport::skipped`].
+    /// Load a directory written by [`TuneService::snapshot_all`] (or a
+    /// durability directory) into the matching registered shards. A
+    /// snapshot directory is a durability directory without logs, so
+    /// this is exactly [`TuneService::recover_all`].
     pub fn restore_all(&self, dir: &Path) -> std::io::Result<SnapshotReport> {
-        let mut report = SnapshotReport::default();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some((device, op)) = parse_snapshot_file_name(&name.to_string_lossy()) else {
-                continue;
-            };
-            match self.shard_tuner(device, op) {
-                Some(tuner) => {
-                    let loaded = tuner.load_cache(&entry.path())?;
-                    report.files += 1;
-                    report.entries += loaded.loaded;
-                    report.skipped += loaded.skipped;
-                }
-                None => report.unmatched += 1,
-            }
-        }
-        Ok(report)
+        self.recover_all(dir)
     }
 
     // ---- warm start ------------------------------------------------------
@@ -1748,9 +1647,8 @@ impl TuneService {
         self.core.queue.set_paused(false);
     }
 
-    /// Serving counters (same schema as the deprecated router's). In
-    /// durability mode the WAL append totals are read live from the
-    /// per-shard journal writers.
+    /// Serving counters. In durability mode the WAL append totals are
+    /// read live from the per-shard journal writers.
     pub fn stats(&self) -> RouterStats {
         let mut stats = self.core.counters.snapshot();
         if let Some(state) = self.core.wal.lock().expect("wal state poisoned").as_ref() {
@@ -1925,41 +1823,27 @@ impl Drop for TuneService {
         drop(orphaned);
         self.core.fail_flights(|_| true);
         // Join the workers *now* (drop would too, but later), so the
-        // final snapshot flush below cannot miss a decision published
-        // by a still-running tune.
+        // final compaction below cannot miss a decision published by a
+        // still-running tune.
         self.pool.join();
-        let snapshot_dir = self
+        let scheduled = self
             .core
-            .snapshots
+            .wal
             .lock()
-            .expect("snapshot schedule poisoned")
+            .expect("wal state poisoned")
             .as_ref()
-            .map(|s| (s.dir.clone(), s.wal));
-        if let Some((dir, wal_mode)) = snapshot_dir {
-            // Flush-on-shutdown: snapshot whatever the last interval
-            // left dirty, or (durability mode) compact the logs one
-            // final time so the next boot replays nothing. Errors are
-            // counted (the stats are about to die with us, but the
-            // counter keeps the path honest).
-            let outcome = if wal_mode {
-                self.core.run_compaction_sweep(&dir)
-            } else {
-                self.core.snapshot_shards(&dir, true)
-            };
-            match outcome {
-                Ok(report) if report.files == 0 => {}
-                Ok(report) => {
-                    bump(&self.core.counters.snapshots, 1);
-                    bump(&self.core.counters.snapshot_entries, report.entries as u64);
-                }
-                Err(_) => bump(&self.core.counters.snapshot_errors, 1),
-            }
+            .is_some_and(|s| s.schedule.is_some());
+        if scheduled {
+            // Compact the logs one final time so the next boot replays
+            // nothing. Errors are counted (the stats are about to die
+            // with us, but the counter keeps the path honest).
+            self.core.count_sweep(self.core.run_compaction_sweep());
         }
     }
 }
 
-/// Snapshot file name for one `(device, op)` shard:
-/// `shard-<device>-<op>.cache`.
+/// Base file name for one `(device, op)` shard:
+/// `shard-<device>-<op>.cache` (see [`crate::durability`]).
 pub fn snapshot_file_name(device: u16, op: OpKind) -> String {
     format!("shard-{device}-{op}.cache")
 }

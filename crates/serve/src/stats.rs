@@ -1,4 +1,5 @@
-//! Router- and service-level serving counters.
+//! Serving counters ([`RouterStats`]) and front-door gauges
+//! ([`ServiceStats`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,8 +67,7 @@ impl Counters {
     }
 }
 
-/// A snapshot of the serving counters ([`crate::TuneService::stats`],
-/// mirrored by the deprecated [`crate::TunerRouter::stats`]).
+/// A snapshot of the serving counters ([`crate::TuneService::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Queries submitted (single and batched).
@@ -92,14 +92,14 @@ pub struct RouterStats {
     /// Retry-budget exhaustion no longer lands here -- it quarantines
     /// the key and serves [`crate::Served::Degraded`].
     pub failed: u64,
-    /// Background snapshots completed by the interval snapshotter
-    /// (including the final snapshot-on-shutdown flush). Each snapshot
-    /// persists only *dirty* shards, so an idle service stops writing.
+    /// Interval compaction sweeps that wrote at least one base file
+    /// (including the final sweep on shutdown). A sweep compacts only
+    /// shards whose state moved, so an idle service stops writing.
     pub snapshots: u64,
-    /// Decisions persisted across all background snapshots (the
-    /// cumulative [`crate::SnapshotReport::entries`]).
+    /// Decisions persisted across all counted sweeps (the cumulative
+    /// [`crate::SnapshotReport::entries`]).
     pub snapshot_entries: u64,
-    /// Background snapshot attempts that failed with an I/O error (the
+    /// Interval or shutdown sweeps that failed with an I/O error (the
     /// shards stay dirty and are retried next interval).
     pub snapshot_errors: u64,
     /// Shard compactions completed in durability mode: WAL folded into

@@ -6,8 +6,7 @@
 //! ticket can be consumed four ways, freely mixed:
 //!
 //! * [`TuneTicket::try_get`] -- non-blocking peek;
-//! * [`TuneTicket::wait`] -- block the calling thread (what the
-//!   deprecated [`crate::TunerRouter`] wrappers do);
+//! * [`TuneTicket::wait`] -- block the calling thread;
 //! * [`TuneTicket::wait_timeout`] -- block, but give up after a bound:
 //!   an expired wait resolves *this* ticket to
 //!   [`crate::Served::TimedOut`] without touching the flight, which

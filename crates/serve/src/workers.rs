@@ -95,7 +95,7 @@ pub(crate) enum Popped {
     /// Background work: the foreground lane was empty.
     Background(BgJob),
     /// The deadline passed with the queue idle -- time for periodic
-    /// work (the background snapshotter).
+    /// work (the WAL compaction interval).
     Deadline,
     /// The queue is shutting down; the worker should exit.
     Shutdown,
@@ -158,10 +158,10 @@ impl MissQueue {
     /// optional deadline passes, or the queue shuts down. Jobs win over
     /// an already-expired deadline, so a busy queue drains at full
     /// speed and the deadline only fires in the gaps -- which is
-    /// exactly what the interval snapshotter wants.
+    /// exactly what the compaction interval wants.
     ///
     /// `deadline_of` is re-evaluated on **every** wakeup, not captured
-    /// once: a worker parked before the snapshotter was scheduled (or
+    /// once: a worker parked before compaction was scheduled (or
     /// rescheduled) picks the new deadline up as soon as
     /// [`MissQueue::kick`] wakes it, instead of sleeping towards a
     /// stale one forever.
@@ -224,7 +224,7 @@ impl MissQueue {
     }
 
     /// Wake every worker so they re-read their deadlines via
-    /// `pop_until`'s `deadline_of` (used when the snapshot schedule
+    /// `pop_until`'s `deadline_of` (used when the compaction schedule
     /// changes).
     pub fn kick(&self) {
         self.cv.notify_all();

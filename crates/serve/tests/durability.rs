@@ -17,7 +17,14 @@
 //! 6. **retry policy** -- a configurable attempt budget: exhausting it
 //!    quarantines the key and serves `Served::Degraded` (counted
 //!    distinctly from the per-attempt panic count), and a flaky WAL
-//!    append never fails the publish itself.
+//!    append never fails the publish itself;
+//! 7. **the interval** -- compaction fires on its own in the queue's
+//!    idle gaps (also when enabled after the workers parked), idle
+//!    intervals write nothing, and dropping the service compacts one
+//!    last time;
+//! 8. **exports** -- `snapshot_all` to another directory leaves the
+//!    shards' dirty bits alone, so a decision whose append failed still
+//!    reaches the WAL directory at the next compaction.
 
 use isaac_core::durability::{decode_wal, FaultIo, FaultPlan, WalRecord};
 use isaac_core::{EvictionPolicy, IsaacTuner, OpKind, TrainOptions, TuneKey, TunedChoice};
@@ -32,7 +39,7 @@ use isaac_serve::{
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Train one small GEMM model, once per process, and hand out cheap
 /// clones via the text serialization (training dominates test time;
@@ -76,6 +83,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create test dir");
     dir
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// A synthetic cache key: publishing via `TuneCache::insert` exercises
@@ -486,4 +501,137 @@ fn flaky_append_never_fails_the_publish() {
     let report = service2.recover_all_with(&dir, &StdIo).expect("recover");
     assert_eq!(report.entries, 3, "compaction healed the dropped record");
     service.disable_snapshots();
+}
+
+#[test]
+fn interval_compaction_persists_moved_shards_and_recovers_after_a_crash() {
+    let dir = temp_dir("interval");
+    let service = TuneService::new();
+    service.add_shard(0, fresh_tuner(tesla_p100()));
+    service.enable_durability(&dir, Duration::from_millis(20));
+
+    // Two decisions land; the next idle interval compacts them.
+    let persisted = [gemm_query(0, 96, 64, 48), gemm_query(0, 256, 64, 512)];
+    for q in &persisted {
+        assert!(service.submit(q).wait().choice.is_some());
+    }
+    // An early interval may catch the cache between the two tunes (and
+    // report one entry); the second publish moves the shard again, so
+    // a later interval is guaranteed to persist both.
+    wait_until("the interval compaction to cover both decisions", || {
+        service.last_snapshot().is_some_and(|r| r.entries == 2)
+    });
+    let last = service.last_snapshot().expect("a background report");
+    assert_eq!(last.files, 1, "one moved shard was compacted");
+    assert!(service.stats().snapshots >= 1);
+    assert_eq!(service.stats().snapshot_errors, 0);
+
+    // Quiescence: with nothing moved, further intervals write nothing.
+    let settled = service.stats().snapshots;
+    let compactions = service.stats().compactions;
+    std::thread::sleep(Duration::from_millis(80));
+    assert_eq!(
+        service.stats().snapshots,
+        settled,
+        "idle shards are skipped, not rewritten every interval"
+    );
+    assert_eq!(service.stats().compactions, compactions);
+
+    // Simulate a crash: stop the interval (no compaction on drop), then
+    // tune one more shape -- the tail of work since the last interval,
+    // which only the log holds.
+    service.disable_snapshots();
+    let tail = gemm_query(0, 128, 128, 128);
+    assert!(service.submit(&tail).wait().choice.is_some());
+    drop(service);
+
+    // The restarted fleet serves the base and the log tail with zero
+    // cold tunes.
+    let restored = TuneService::new();
+    restored.add_shard(0, fresh_tuner(tesla_p100()));
+    let report = restored.recover_all(&dir).expect("recover");
+    assert_eq!(report.entries, 2, "the interval compacted two decisions");
+    assert_eq!(report.replayed, 1, "the drop did not compact the tail");
+    for q in persisted.iter().chain([&tail]) {
+        assert_eq!(restored.submit(q).wait().served, Served::Cache);
+    }
+    assert_eq!(restored.stats().cold_tunes, 0);
+}
+
+#[test]
+fn compaction_enabled_after_workers_parked_still_fires() {
+    // Regression: `pop_until` must re-read the compaction deadline on
+    // every wakeup. Workers park with no schedule (deadline = None)
+    // while the shard is made dirty; enabling durability afterwards --
+    // with NO further traffic to cycle the worker loop -- must still
+    // produce a compaction via the kick.
+    let dir = temp_dir("late_enable");
+    let service = TuneService::new();
+    service.add_shard(0, fresh_tuner(tesla_p100()));
+    let query = gemm_query(0, 96, 64, 48);
+    assert!(service.submit(&query).wait().choice.is_some());
+    // Workers are now idle, parked on the condvar with no deadline.
+    std::thread::sleep(Duration::from_millis(10));
+
+    service.enable_durability(&dir, Duration::from_millis(15));
+    wait_until("the late-enabled compaction to fire", || {
+        service.stats().snapshots >= 1
+    });
+    assert_eq!(service.last_snapshot().map(|r| r.entries), Some(1));
+    service.disable_snapshots();
+}
+
+#[test]
+fn dropping_the_service_compacts_one_last_time() {
+    let dir = temp_dir("drop_compacts");
+    let service = TuneService::new();
+    service.add_shard(0, fresh_tuner(tesla_p100()));
+    // An interval so long it never fires: only the compaction on drop
+    // can fold the log into a base file.
+    service.enable_durability(&dir, NEVER);
+    let query = gemm_query(0, 96, 64, 48);
+    assert!(service.submit(&query).wait().choice.is_some());
+    assert_eq!(service.stats().snapshots, 0, "interval never fired");
+    drop(service);
+    let wal = dir.join(wal_file_name(0, OpKind::Gemm));
+    assert_eq!(std::fs::metadata(&wal).expect("wal").len(), 0, "log folded");
+
+    let restored = TuneService::new();
+    restored.add_shard(0, fresh_tuner(tesla_p100()));
+    let report = restored.recover_all(&dir).expect("recover");
+    assert_eq!(report.entries, 1, "the drop compacted the work");
+    assert_eq!(report.replayed, 0);
+    assert_eq!(restored.submit(&query).wait().served, Served::Cache);
+    assert_eq!(restored.stats().cold_tunes, 0);
+}
+
+#[test]
+fn an_export_does_not_hide_a_shard_from_compaction() {
+    let dir = temp_dir("export_wal");
+    let export = temp_dir("export_snapshot");
+    let service = TuneService::with_workers(1);
+    service.add_shard(0, fresh_tuner(tesla_p100()));
+    // The first append fails: the tune's decision is only in memory.
+    let io = Arc::new(FaultIo::new(FaultPlan {
+        fail_append: Some(1),
+        ..Default::default()
+    }));
+    service.enable_durability_with(&dir, NEVER, io.clone());
+    let query = gemm_query(0, 96, 64, 48);
+    assert!(service.submit(&query).wait().choice.is_some());
+    assert_eq!(service.stats().wal_append_errors, 1);
+
+    // Exporting to another directory must not mark the shard persisted.
+    let snap = service.snapshot_all(&export).expect("export");
+    assert_eq!((snap.files, snap.entries), (1, 1));
+    let report = service.compact_now().expect("compact");
+    assert_eq!(report.entries, 1, "the export left the shard dirty");
+    service.disable_snapshots();
+
+    let fresh = TuneService::with_workers(1);
+    fresh.add_shard(0, fresh_tuner(tesla_p100()));
+    let recovered = fresh.recover_all(&dir).expect("recover");
+    assert_eq!(recovered.entries, 1);
+    assert_eq!(fresh.submit(&query).wait().served, Served::Cache);
+    assert_eq!(fresh.stats().cold_tunes, 0);
 }

@@ -603,117 +603,6 @@ fn tickets_dropped_after_the_tune_starts_do_not_cancel_it() {
 }
 
 #[test]
-fn background_snapshotter_persists_dirty_shards_and_restores_after_a_crash() {
-    let dir = std::env::temp_dir().join("isaac_service_bg_snapshot_test");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let service = TuneService::new();
-    service.add_shard(0, fresh_tuner(tesla_p100()));
-    service.enable_snapshots(&dir, Duration::from_millis(20));
-
-    // Two decisions land; the next idle interval persists them.
-    let persisted = [gemm_query(0, 96, 64, 48), gemm_query(0, 256, 64, 512)];
-    for q in &persisted {
-        assert!(service.submit(q).wait().choice.is_some());
-    }
-    // An early interval may catch the cache between the two tunes (and
-    // report one entry); the shard re-dirties, so a later interval is
-    // guaranteed to persist both.
-    wait_until("the interval snapshot to cover both decisions", || {
-        service.last_snapshot().is_some_and(|r| r.entries == 2)
-    });
-    let last = service.last_snapshot().expect("a background report");
-    assert_eq!(last.files, 1, "one dirty shard was written");
-    assert!(service.stats().snapshots >= 1);
-    assert_eq!(service.stats().snapshot_errors, 0);
-
-    // Quiescence: with nothing dirty, further intervals write nothing.
-    let settled = service.stats().snapshots;
-    std::thread::sleep(Duration::from_millis(80));
-    assert_eq!(
-        service.stats().snapshots,
-        settled,
-        "clean shards are skipped, not rewritten every interval"
-    );
-
-    // Simulate a crash: stop the snapshotter (no final flush), then
-    // tune one more shape -- the tail of work since the last interval.
-    service.disable_snapshots();
-    let lost = gemm_query(0, 128, 128, 128);
-    assert!(service.submit(&lost).wait().choice.is_some());
-    drop(service);
-
-    // The restarted fleet serves everything up to the last snapshot
-    // interval with zero cold tunes; only the tail is gone.
-    let restored = TuneService::new();
-    restored.add_shard(0, fresh_tuner(tesla_p100()));
-    let report = restored.restore_all(&dir).expect("restore");
-    assert_eq!(report.entries, 2);
-    for q in &persisted {
-        assert_eq!(restored.submit(q).wait().served, Served::Cache);
-    }
-    assert_eq!(restored.stats().cold_tunes, 0);
-    assert_eq!(
-        restored.submit(&lost).wait().served,
-        Served::Tuned,
-        "at most one interval of work is lost"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn snapshotter_enabled_after_workers_parked_still_fires() {
-    // Regression: `pop_until` must re-read the snapshot deadline on
-    // every wakeup. Workers park with no schedule (deadline = None)
-    // while the shard is made dirty; enabling snapshots afterwards --
-    // with NO further traffic to cycle the worker loop -- must still
-    // produce a snapshot via the kick.
-    let dir = std::env::temp_dir().join("isaac_service_late_enable_test");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let service = TuneService::new();
-    service.add_shard(0, fresh_tuner(tesla_p100()));
-    let query = gemm_query(0, 96, 64, 48);
-    assert!(service.submit(&query).wait().choice.is_some());
-    // Workers are now idle, parked on the condvar with no deadline.
-    std::thread::sleep(Duration::from_millis(10));
-
-    service.enable_snapshots(&dir, Duration::from_millis(15));
-    wait_until("the late-enabled snapshotter to fire", || {
-        service.stats().snapshots >= 1
-    });
-    assert_eq!(service.last_snapshot().map(|r| r.entries), Some(1));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shutdown_flushes_the_last_interval_of_tuning_work() {
-    let dir = std::env::temp_dir().join("isaac_service_shutdown_flush_test");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let service = TuneService::new();
-    service.add_shard(0, fresh_tuner(tesla_p100()));
-    // An interval so long it never fires: only the snapshot-on-drop
-    // flush can persist anything.
-    service.enable_snapshots(&dir, Duration::from_secs(3600));
-    let query = gemm_query(0, 96, 64, 48);
-    assert!(service.submit(&query).wait().choice.is_some());
-    assert_eq!(service.stats().snapshots, 0, "interval never fired");
-    drop(service);
-
-    let restored = TuneService::new();
-    restored.add_shard(0, fresh_tuner(tesla_p100()));
-    let report = restored.restore_all(&dir).expect("restore");
-    assert_eq!(report.entries, 1, "the drop flush persisted the work");
-    assert_eq!(restored.submit(&query).wait().served, Served::Cache);
-    assert_eq!(restored.stats().cold_tunes, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn cost_aware_shards_keep_hot_expensive_decisions_under_pressure() {
     // Router-level acceptance for PR 5's eviction tentpole: on a
     // capacity-bounded shard, a hot deep-reduction decision (expensive

@@ -1,8 +1,8 @@
 //! End-to-end properties of the sharded serving front-end:
 //!
 //! 1. **single-flight invariant** -- N threads racing a cold key run
-//!    exactly one cold tune; the other N-1 block and receive the
-//!    identical `TunedChoice`;
+//!    exactly one cold tune; the other N-1 wait on their tickets and
+//!    receive the identical `TunedChoice`;
 //! 2. **batch dedup + routing** -- duplicate queries inside a batch are
 //!    resolved once, devices route to their own shards, unknown devices
 //!    are refused;
@@ -13,7 +13,7 @@ use isaac_core::{IsaacTuner, OpKind, TrainOptions};
 use isaac_device::specs::{gtx980ti, tesla_p100};
 use isaac_device::{DType, DeviceSpec};
 use isaac_gen::shapes::GemmShape;
-use isaac_serve::{Query, Served, TunerRouter};
+use isaac_serve::{Decision, Query, Served, TuneService};
 use std::path::{Path, PathBuf};
 use std::sync::{Barrier, OnceLock};
 
@@ -48,11 +48,20 @@ fn gemm_query(device: u16, m: u32, n: u32, k: u32) -> Query {
     Query::gemm(device, GemmShape::new(m, n, k, "N", "T", DType::F32))
 }
 
+/// Submit a batch and wait for every ticket, in query order.
+fn wait_batch(service: &TuneService, queries: &[Query]) -> Vec<Decision> {
+    service
+        .submit_batch(queries)
+        .iter()
+        .map(|ticket| ticket.wait())
+        .collect()
+}
+
 #[test]
 fn contended_cold_key_tunes_exactly_once() {
     const THREADS: usize = 4;
-    let mut router = TunerRouter::new();
-    let tuner = router.add_shard(0, fresh_tuner(tesla_p100()));
+    let service = TuneService::new();
+    let tuner = service.add_shard(0, fresh_tuner(tesla_p100()));
     let query = gemm_query(0, 96, 64, 48);
 
     let barrier = Barrier::new(THREADS);
@@ -61,7 +70,7 @@ fn contended_cold_key_tunes_exactly_once() {
             .map(|_| {
                 s.spawn(|| {
                     barrier.wait();
-                    router.submit(&query)
+                    service.submit(&query).wait()
                 })
             })
             .collect();
@@ -73,8 +82,8 @@ fn contended_cold_key_tunes_exactly_once() {
     // legitimately re-leads a flight, but the leader-side cache re-peek
     // turns that into a hit -- so `led` may exceed 1 on a loaded host
     // while cold_tunes cannot.)
-    let stats = router.stats();
-    let flights = router.flight_stats();
+    let stats = service.stats();
+    let flights = service.flight_stats();
     assert_eq!(stats.cold_tunes, 1, "exactly one cold tune ran");
     assert_eq!(tuner.cache_len(), 1, "one decision cached");
     assert!(flights.led >= 1);
@@ -96,17 +105,17 @@ fn contended_cold_key_tunes_exactly_once() {
     assert_eq!(tuned, 1, "exactly one decision reports the cold tune");
 
     // The dust has settled: the next submit is a plain cache hit.
-    let again = router.submit(&query);
+    let again = service.submit(&query).wait();
     assert_eq!(again.served, Served::Cache);
     assert_eq!(again.choice, Some(first));
 }
 
 #[test]
 fn batches_dedupe_route_and_refuse_unknown_devices() {
-    let mut router = TunerRouter::new();
-    let t0 = router.add_shard(0, fresh_tuner(tesla_p100()));
-    let t1 = router.add_shard(1, fresh_tuner(gtx980ti()));
-    assert_eq!(router.devices(), vec![0, 1]);
+    let service = TuneService::new();
+    let t0 = service.add_shard(0, fresh_tuner(tesla_p100()));
+    let t1 = service.add_shard(1, fresh_tuner(gtx980ti()));
+    assert_eq!(service.devices(), vec![0, 1]);
 
     let hot = gemm_query(0, 96, 64, 48);
     let batch = [
@@ -116,7 +125,7 @@ fn batches_dedupe_route_and_refuse_unknown_devices() {
         gemm_query(9, 96, 64, 48), // no shard registered
         hot,                       // in-batch duplicate
     ];
-    let decisions = router.submit_batch(&batch);
+    let decisions = wait_batch(&service, &batch);
     assert_eq!(decisions.len(), batch.len());
 
     // Duplicates share the first occurrence's choice; they report
@@ -139,7 +148,7 @@ fn batches_dedupe_route_and_refuse_unknown_devices() {
     assert_eq!(decisions[3].served, Served::NoShard);
     assert_eq!(decisions[3].choice, None);
 
-    let stats = router.stats();
+    let stats = service.stats();
     assert_eq!(stats.queries, 5);
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.batch_deduped, 2);
@@ -148,47 +157,47 @@ fn batches_dedupe_route_and_refuse_unknown_devices() {
     assert!(stats.dedup_ratio() >= 2.0 / 5.0);
 
     // A repeat batch is all cache hits and dedup.
-    let again = router.submit_batch(&[hot, hot]);
+    let again = wait_batch(&service, &[hot, hot]);
     assert_eq!(again[0].served, Served::Cache);
     assert_eq!(again[1], again[0]);
-    assert_eq!(router.stats().cold_tunes, 2, "no further cold tunes");
+    assert_eq!(service.stats().cold_tunes, 2, "no further cold tunes");
 }
 
 #[test]
 fn warm_started_shard_serves_without_cold_tunes() {
-    let mut router = TunerRouter::new();
-    router.add_shard(0, fresh_tuner(tesla_p100()));
-    router.add_shard(1, fresh_tuner(tesla_p100()));
+    let service = TuneService::new();
+    service.add_shard(0, fresh_tuner(tesla_p100()));
+    service.add_shard(1, fresh_tuner(tesla_p100()));
 
     // Shard 0 learns two shapes the hard way.
     let shapes = [gemm_query(0, 96, 64, 48), gemm_query(0, 256, 64, 512)];
     for q in &shapes {
-        assert!(router.submit(q).choice.is_some());
+        assert!(service.submit(q).wait().choice.is_some());
     }
-    let cold_tunes_before = router.stats().cold_tunes;
+    let cold_tunes_before = service.stats().cold_tunes;
 
     // Shard 1 warm-starts from shard 0: re-benchmarks, no cold tunes.
-    let report = router
+    let report = service
         .warm_start(1, 0, OpKind::Gemm, 10)
         .expect("both shards exist");
     assert_eq!(report.candidates, 2);
     assert_eq!(report.seeded, 2, "same device model: everything transfers");
-    assert_eq!(router.stats().cold_tunes, cold_tunes_before);
+    assert_eq!(service.stats().cold_tunes, cold_tunes_before);
 
     // The warm shapes are cache hits on shard 1.
     for q in &shapes {
         let warm = Query { device: 1, ..*q };
-        let d = router.submit(&warm);
+        let d = service.submit(&warm).wait();
         assert_eq!(d.served, Served::Cache, "warm-started shape is a hit");
         assert!(d.choice.is_some());
     }
     assert_eq!(
-        router.stats().cold_tunes,
+        service.stats().cold_tunes,
         cold_tunes_before,
         "warm-started shard never cold-tunes the seeded shapes"
     );
 
     // Missing shards are reported, not panicked on.
-    assert!(router.warm_start(2, 0, OpKind::Gemm, 10).is_none());
-    assert!(router.warm_start(1, 0, OpKind::Conv, 10).is_none());
+    assert!(service.warm_start(2, 0, OpKind::Gemm, 10).is_none());
+    assert!(service.warm_start(1, 0, OpKind::Conv, 10).is_none());
 }

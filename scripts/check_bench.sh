@@ -214,8 +214,8 @@ if [ -n "$evc" ] && ! awk -v e="$evc" 'BEGIN { exit !(e > 0) }'; then
     die "evictions=$evc: the pressure workload did not overflow the cache"
 fi
 
-# A killed-and-restarted service must serve everything up to the last
-# snapshot interval from cache: zero cold tunes after restore.
+# A restarted service must serve everything in its last snapshot
+# from cache: zero cold tunes after restore.
 restored_cold=$(json_num BENCH_serving.json restored_cold_tunes)
 if [ "$restored_cold" != "0" ]; then
     die "restored_cold_tunes=$restored_cold: the restored fleet re-tuned snapshotted keys"

@@ -56,11 +56,12 @@
 //! device and answers `submit` with pollable `TuneTicket`s (hits
 //! resolve inline, misses coalesce through a waker-driven single-flight
 //! and drain on a worker pool, so one OS thread multiplexes many
-//! in-flight queries), hot-swaps shards at runtime, snapshots/restores
-//! every shard's decisions, and warm-starts fresh shards from a
-//! neighbour. `cargo bench -p isaac-bench --bench inference`
-//! (queries/sec) and `--bench serving` (batched throughput, in-flight
-//! multiplexing, queue latency, warm-start) track the trajectory.
+//! in-flight queries), hot-swaps shards at runtime, journals every
+//! shard's decisions to a write-ahead log and recovers them on restart,
+//! and warm-starts fresh shards from a neighbour.
+//! `cargo bench -p isaac-bench --bench inference` (queries/sec) and
+//! `--bench serving` (batched throughput, in-flight multiplexing, queue
+//! latency, warm-start) track the trajectory.
 
 pub use isaac_baselines as baselines;
 pub use isaac_core as core;
@@ -79,5 +80,5 @@ pub mod prelude {
     pub use isaac_gen::shapes::{ConvShape, GemmShape};
     pub use isaac_gen::{BoundsMode, GemmConfig};
     pub use isaac_ir::emit_ptx;
-    pub use isaac_serve::{Query, TuneService, TuneTicket, TunerRouter};
+    pub use isaac_serve::{Query, TuneService, TuneTicket};
 }
